@@ -1,29 +1,31 @@
 #!/usr/bin/env bash
-# Fault-injection kill matrix for the self-healing sweep/store
-# pipeline (src/support/faultpoint.hh, DESIGN.md §6j).
+# Fault-injection matrix for the in-process sweep and the artifact
+# store (src/support/faultpoint.hh, DESIGN.md §6j).
 #
-# Baseline pass: runs a small grid (2 workers, fresh shared store)
-# fault-free and records the merged "cells" array as ground truth.
+# Baseline pass: runs a small grid fault-free against a fresh store
+# and records the "cells" array as ground truth.
 #
-# Matrix pass: arms every registered fault point (discovered via
-# predilp_sweep --list-fault-points, so a new point can never dodge
-# CI) one at a time as `<point>=once` through PREDILP_FAULTS and
-# requires each run to exit 0 with zero degraded cells and a cells
-# array byte-identical to the baseline — every injected throw must be
-# healed by a retry or a degradation-ladder rung, never absorbed into
-# the results.
+# Matrix pass: every registered fault point (discovered via
+# predilp_sweep --list-fault-points) must be classified in the
+# explicit table below; an unlisted point fails the script, so a new
+# point can never dodge CI. Two classes:
+#   heal  `<point>=once` is healed inside the one run: exit 0 and a
+#         cells array byte-identical to the baseline.
+#   loud  the fault propagates: non-zero exit with stderr naming the
+#         point, after which a disarmed re-run converges to the
+#         baseline bytes.
 #
-# Kill pass: repeats the worker-lifecycle and store-publish points
-# with action `crash` (SIGKILL at the point, including mid-publish
-# with the temp artifact staged), `short-write` (torn worker result
-# file / truncated artifact), and a `delay` hang reaped by the
-# supervisor watchdog.
+# Crash pass: SIGKILL inside the store's publish window (temp file
+# staged, canonical path untouched). The sweep must die by SIGKILL,
+# and a disarmed re-run on the same store must converge. Short-write
+# cases tear an artifact, sidecar, or certified record at half length
+# and must heal in one run.
 #
 # Serve-no-corruption pass: after the whole matrix has battered the
-# shared store, one disarmed healing run republishes anything a torn
-# publish left behind, then a warm run must do zero compiles and zero
-# captures and still merge to the baseline bytes — proving no corrupt
-# artifact was ever served as truth.
+# store, one disarmed run republishes anything a torn publish left
+# behind, then a warm run must do zero compiles and zero captures and
+# still produce the baseline bytes, and `predilp_diff --verify` must
+# pass on the store.
 #
 # Usage: scripts/fault_ci.sh. Assumes scripts/tier1.sh already built.
 set -euo pipefail
@@ -43,56 +45,113 @@ cat > "${OUT}/grid.json" <<'EOF'
 }
 EOF
 
-# extract_cells REPORT CELLS_OUT [MIN_RETRIES]: dump the canonical
-# cells array and fail on any degraded cell (or too few retries).
-extract_cells() {
-    python3 - "$@" <<'PYEOF'
+# classify POINT: the class of every registered point ("heal" or
+# "loud"). An unlisted point prints nothing.
+classify() {
+    case "$1" in
+        store.publish.write | store.publish.rename | \
+        store.publish.prov | store.publish.result | \
+        store.load.mmap | store.load.validate)
+            echo heal ;; # quarantine / recompute in the store
+        emu.threaded.capture)
+            echo heal ;; # interpreter fallback
+        eval.replay.batch)
+            echo heal ;; # sequential recompute of the batch group
+        eval.compile | eval.replay)
+            echo loud ;; # strict evaluator rethrows
+    esac
+}
+
+# loud_spec POINT: the PREDILP_FAULTS spec that makes a loud point
+# bite. A once-fault inside a batch group is healed by the group's
+# sequential recompute, so the point must fire on every hit; and the
+# single-config replay point is only reached on that recompute path.
+loud_spec() {
+    case "$1" in
+        eval.compile) echo "eval.compile=prob:1" ;;
+        eval.replay) echo "eval.replay.batch=prob:1,eval.replay=prob:1" ;;
+    esac
+}
+
+# sweep REPORT: run the grid into REPORT under the current env.
+sweep() {
+    "${SWEEP}" --spec "${OUT}/grid.json" --out "$1"
+}
+
+# dump_cells REPORT OUT: write REPORT's canonical cells array to OUT.
+dump_cells() {
+    python3 - "$1" "$2" <<'PYEOF'
 import json
 import sys
 
-report_path, cells_path = sys.argv[1:3]
-min_retries = int(sys.argv[3]) if len(sys.argv) > 3 else 0
-with open(report_path) as f:
+with open(sys.argv[1]) as f:
     report = json.load(f)
-if report.get("degraded_cells", 0) != 0:
-    sys.exit(f"error: {report_path}: {report['degraded_cells']} "
-             f"degraded cell(s); expected full convergence")
-retries = report.get("worker_retries", 0)
-if retries < min_retries:
-    sys.exit(f"error: {report_path}: {retries} worker retries; "
-             f"expected >= {min_retries} (fault never bit?)")
-with open(cells_path, "w") as f:
+with open(sys.argv[2], "w") as f:
     json.dump(report["cells"], f, sort_keys=True)
 PYEOF
 }
 
-# run_case NAME SPEC MIN_RETRIES [extra sweep args...]: run the grid
-# with SPEC armed and require byte-identical convergence.
-run_case() {
-    local name="$1" spec="$2" min_retries="$3"
-    shift 3
-    echo "== fault case: ${name} (${spec:-disarmed}) =="
-    PREDILP_FAULTS="${spec}" "${SWEEP}" --spec "${OUT}/grid.json" \
-        --workers 2 --out "${OUT}/report.json" "$@"
-    extract_cells "${OUT}/report.json" "${OUT}/cells.json" \
-        "${min_retries}"
+# expect_baseline NAME REPORT: REPORT's cells equal the baseline's.
+expect_baseline() {
+    dump_cells "$2" "${OUT}/cells.json"
     if ! cmp -s "${OUT}/cells.json" "${OUT}/baseline_cells.json"; then
-        echo "error: ${name}: cells differ from fault-free baseline" >&2
+        echo "error: $1: cells differ from fault-free baseline" >&2
         diff "${OUT}/baseline_cells.json" "${OUT}/cells.json" >&2 || true
         exit 1
     fi
-    echo "ok: ${name} converged to baseline cells"
+    echo "ok: $1 converged to baseline cells"
+}
+
+# heal_case NAME SPEC: SPEC armed, the run exits 0 with baseline cells.
+heal_case() {
+    echo "== heal case: $1 (${2:-disarmed}) =="
+    PREDILP_FAULTS="$2" sweep "${OUT}/report.json"
+    expect_baseline "$1" "${OUT}/report.json"
+}
+
+# converge NAME: a disarmed re-run on the same store converges.
+converge() {
+    PREDILP_FAULTS="" sweep "${OUT}/report.json"
+    expect_baseline "$1 (disarmed re-run)" "${OUT}/report.json"
+}
+
+# loud_case POINT SPEC: SPEC armed, the run fails naming POINT.
+loud_case() {
+    local point="$1" spec="$2" status=0
+    echo "== loud case: ${point} (${spec}) =="
+    PREDILP_FAULTS="${spec}" sweep "${OUT}/report.json" \
+        2> "${OUT}/stderr.txt" || status=$?
+    if [ "${status}" -eq 0 ]; then
+        echo "error: ${point}: armed run exited 0" >&2
+        exit 1
+    fi
+    if ! grep -qxF "predilp_sweep: injected fault at ${point}" \
+            "${OUT}/stderr.txt"; then
+        echo "error: ${point}: stderr does not name the point:" >&2
+        cat "${OUT}/stderr.txt" >&2
+        exit 1
+    fi
+    echo "ok: ${point} failed loudly (exit ${status})"
+    converge "${point}"
+}
+
+# crash_case NAME SPEC: SPEC armed, the sweep dies by SIGKILL.
+crash_case() {
+    local status=0
+    echo "== crash case: $1 ($2) =="
+    PREDILP_FAULTS="$2" sweep "${OUT}/report.json" || status=$?
+    if [ "${status}" -ne 137 ]; then
+        echo "error: $1: exit ${status}, expected SIGKILL (137)" >&2
+        exit 1
+    fi
+    echo "ok: $1 died by SIGKILL"
+    converge "$1"
 }
 
 echo "== baseline pass (store: ${PREDILP_STORE}) =="
-"${SWEEP}" --spec "${OUT}/grid.json" --workers 2 \
-    --out "${OUT}/baseline.json"
-extract_cells "${OUT}/baseline.json" "${OUT}/baseline_cells.json"
+sweep "${OUT}/baseline.json"
+dump_cells "${OUT}/baseline.json" "${OUT}/baseline_cells.json"
 
-# Every registered point, armed one at a time. The load-side points
-# need the warm store (they fire on real artifact loads); everything
-# else gets a cold store so compile/capture/publish actually run and
-# the armed point genuinely bites.
 points=$("${SWEEP}" --list-fault-points)
 if [ -z "${points}" ]; then
     echo "error: --list-fault-points returned nothing" >&2
@@ -100,58 +159,59 @@ if [ -z "${points}" ]; then
 fi
 echo "== matrix pass ($(echo "${points}" | wc -l) registered points) =="
 while IFS= read -r point; do
+    class=$(classify "${point}")
+    if [ -z "${class}" ]; then
+        echo "error: fault point '${point}' is not classified in" \
+             "scripts/fault_ci.sh" >&2
+        exit 1
+    fi
+    # The load-side points need the warm store (they fire on real
+    # artifact loads); everything else gets a cold store so compile,
+    # capture, and publish actually run and the armed point bites.
     case "${point}" in
         store.load.*) ;;
         *) rm -rf "${PREDILP_STORE}" ;;
     esac
-    run_case "throw ${point}" "${point}=once" 0
+    if [ "${class}" = heal ]; then
+        heal_case "throw ${point}" "${point}=once"
+    else
+        loud_case "${point}" "$(loud_spec "${point}")"
+    fi
 done <<< "${points}"
 
-echo "== kill pass =="
-# SIGKILL a worker the instant before it writes its result file.
-run_case "worker killed mid-publish" \
-    "sweep.worker.publish=once:crash" 1
-# SIGKILL inside the artifact store's publish window: the temp file
-# is staged but the canonical path untouched. Cold store so the
-# publish actually happens.
+echo "== crash pass =="
+# Cold stores so each publish actually happens.
+for point in store.publish.write store.publish.rename \
+        store.publish.prov store.publish.result; do
+    rm -rf "${PREDILP_STORE}"
+    crash_case "${point} killed mid-publish" "${point}=once:crash"
+done
+# Artifact payload truncated at half length before publish; load
+# validation must quarantine and recompute the torn artifact, never
+# serve it.
 rm -rf "${PREDILP_STORE}"
-run_case "store publish killed mid-rename" \
-    "store.publish.rename=once:crash" 1
-# SIGKILL at worker startup (before any work).
-run_case "worker killed at startup" "sweep.worker.start=once:crash" 1
-# Worker exits 0 but its result file is torn at half length.
-run_case "torn worker result file" \
-    "sweep.worker.publish=once:short-write" 1
-# Artifact payload truncated at half length before publish (cold
-# store); load validation must quarantine and recompute the torn
-# artifact, never serve it.
+heal_case "truncated artifact publish" \
+    "store.publish.write=once:short-write"
+# Provenance sidecar torn at half length: the artifact lands but its
+# sidecar fails the seal, so the loader must condemn the pair and
+# recompute rather than serve unprovenanced bytes.
 rm -rf "${PREDILP_STORE}"
-run_case "truncated artifact publish" \
-    "store.publish.write=once:short-write" 0
-# Provenance sidecar torn at half length (cold store): the artifact
-# lands but its sidecar fails the seal, so the loader must condemn
-# the pair and recompute rather than serve unprovenanced bytes.
+heal_case "torn provenance sidecar publish" \
+    "store.publish.prov=once:short-write"
+# Certified result record torn at half length: the record fails its
+# seal on read and the next evaluation republishes it; figures never
+# change.
 rm -rf "${PREDILP_STORE}"
-run_case "torn provenance sidecar publish" \
-    "store.publish.prov=once:short-write" 0
-# Certified result record torn at half length (cold store): the
-# record fails its seal on read and the next evaluation republishes
-# it; figures never change.
-rm -rf "${PREDILP_STORE}"
-run_case "torn certified result publish" \
-    "store.publish.result=once:short-write" 0
-# Worker hangs 60s at startup; the supervisor watchdog must SIGKILL
-# and retry it (the retry's hit count skips the nth:1 trigger).
-run_case "hung worker reaped by watchdog" \
-    "sweep.worker.start=nth:1:delay:60000" 1 --watchdog-sec 5
+heal_case "torn certified result publish" \
+    "store.publish.result=once:short-write"
 
 echo "== serve-no-corruption pass =="
 # A torn publish may still be sitting in the store; one disarmed run
 # is allowed to quarantine and recompute it...
-run_case "healing run" "" 0
+heal_case "healing run" ""
 # ...after which the warm run must find only good artifacts: zero
 # compiles, zero captures, baseline bytes.
-run_case "warm run" "" 0
+heal_case "warm run" ""
 python3 - "${OUT}/report.json" <<'PYEOF'
 import json
 import sys

@@ -1,26 +1,22 @@
 #!/usr/bin/env bash
-# Exercise the sharded scenario-sweep driver end to end and validate
-# its consolidated report.
+# Exercise the in-process scenario-sweep driver end to end and
+# validate its consolidated report.
 #
 # Cold pass: runs a small grid (2 x 2 x 2 over the cheapest workload)
-# with 2 forked workers sharing the artifact store, then checks the
+# on a 4-thread pool against the artifact store, then checks the
 # BENCH_sweep.json shape — cell_count matches, cell indices are
 # exactly 0..n-1 (no duplicates, no holes), every cell carries axes /
-# digests / per-model figures, and the crossover summary covers every
-# axis.
+# digests / per-model figures, the timing section records the pool
+# size, and the crossover summary covers every axis.
 #
-# Determinism pass: re-expands the same grid sequentially (1 worker,
-# fresh store) and requires the "cells" array to be byte-identical to
-# the sharded run's — the sweep's merge contract.
+# Determinism pass: re-runs the same grid on a 1-thread pool (fresh
+# store) and requires the "cells" array to be byte-identical to the
+# 4-thread run's — the sweep's determinism contract. (Batched vs
+# cell-by-cell identity is pinned by the evaluator's own tests.)
 #
-# Batching pass: re-runs the sharded sweep with --no-batch (cell-by-
-# cell evaluation instead of one batched replay pass per trace) and
-# requires the merged cells to be byte-identical to the batched
-# run's — the replayBatch pricing contract.
-#
-# Warm pass: re-runs the sharded sweep against the store the cold
-# pass populated and requires zero compiles and zero captures: every
-# trace must come off disk.
+# Warm pass: re-runs the sweep against the store the cold pass
+# populated and requires zero compiles and zero captures: every trace
+# must come off disk.
 #
 # Usage: scripts/sweep_ci.sh. Assumes scripts/tier1.sh already built.
 # PREDILP_STORE overrides the store location (default
@@ -44,8 +40,8 @@ cat > sweep_grid.json <<'EOF'
 }
 EOF
 
-echo "== cold sharded pass (store: ${PREDILP_STORE}) =="
-../build/tools/predilp_sweep --spec sweep_grid.json --workers 2 \
+echo "== cold pass, 4 threads (store: ${PREDILP_STORE}) =="
+PREDILP_THREADS=4 ../build/tools/predilp_sweep --spec sweep_grid.json \
     --out BENCH_sweep.json
 
 python3 - BENCH_sweep.json <<'EOF'
@@ -74,9 +70,12 @@ if cell_count != len(cells):
     fail(f"{path}: cell_count {cell_count} != len(cells) {len(cells)}")
 if cell_count != 8:
     fail(f"{path}: expected the 2x2x2 grid's 8 cells, got {cell_count}")
+threads = report.get("timing", {}).get("threads")
+if threads != 4:
+    fail(f"{path}: timing.threads is {threads}, expected the pool's 4")
 
 # Completeness: indices must be exactly 0..n-1 — a duplicate or a
-# missing cell is a sharding/merge bug.
+# missing cell is a grid-assembly bug.
 indices = [cell.get("index") for cell in cells]
 if sorted(indices) != list(range(len(cells))):
     dupes = sorted({i for i in indices if indices.count(i) > 1})
@@ -124,56 +123,33 @@ if not failed:
 sys.exit(1 if failed else 0)
 EOF
 
-echo "== determinism pass (sequential, fresh store) =="
-cp BENCH_sweep.json BENCH_sweep_sharded.json
-PREDILP_STORE="${PREDILP_STORE}-seq" \
-    ../build/tools/predilp_sweep --spec sweep_grid.json --workers 1 \
+echo "== determinism pass (1 thread, fresh store) =="
+PREDILP_THREADS=1 PREDILP_STORE="${PREDILP_STORE}-seq" \
+    ../build/tools/predilp_sweep --spec sweep_grid.json \
     --out BENCH_sweep_seq.json
 rm -rf "${PREDILP_STORE}-seq"
 
-python3 - BENCH_sweep_sharded.json BENCH_sweep_seq.json <<'EOF'
+python3 - BENCH_sweep.json BENCH_sweep_seq.json <<'EOF'
 import json
 import sys
 
-sharded_path, seq_path = sys.argv[1:3]
-with open(sharded_path) as f:
-    sharded = json.load(f)
-with open(seq_path) as f:
-    seq = json.load(f)
-if sharded["cells"] != seq["cells"]:
-    print("error: sharded cells differ from the sequential run",
+parallel_path, serial_path = sys.argv[1:3]
+with open(parallel_path) as f:
+    parallel = json.load(f)
+with open(serial_path) as f:
+    serial = json.load(f)
+if parallel["cells"] != serial["cells"]:
+    print("error: 4-thread cells differ from the 1-thread run",
           file=sys.stderr)
     sys.exit(1)
-print("ok: 2-worker cells identical to sequential run")
+print("ok: 4-thread cells identical to 1-thread run")
 EOF
 
-echo "== batching pass (--no-batch vs batched) =="
-PREDILP_STORE="${PREDILP_STORE}-nobatch" \
-    ../build/tools/predilp_sweep --spec sweep_grid.json --workers 2 \
-    --no-batch --out BENCH_sweep_nobatch.json
-rm -rf "${PREDILP_STORE}-nobatch"
-
-python3 - BENCH_sweep_sharded.json BENCH_sweep_nobatch.json <<'EOF'
-import json
-import sys
-
-batched_path, nobatch_path = sys.argv[1:3]
-with open(batched_path) as f:
-    batched = json.load(f)
-with open(nobatch_path) as f:
-    nobatch = json.load(f)
-if batched["cells"] != nobatch["cells"]:
-    print("error: batched cells differ from the --no-batch run",
-          file=sys.stderr)
-    sys.exit(1)
-print("ok: batched replay cells identical to --no-batch run")
-EOF
-
-echo "== warm sharded pass =="
-../build/tools/predilp_sweep --spec sweep_grid.json --workers 2 \
+echo "== warm pass =="
+../build/tools/predilp_sweep --spec sweep_grid.json \
     --out BENCH_sweep_warm.json
 
-python3 - BENCH_sweep_warm.json BENCH_sweep_sharded.json <<'EOF'
+python3 - BENCH_sweep_warm.json BENCH_sweep.json <<'EOF'
 import json
 import sys
 

@@ -4,8 +4,7 @@
  * describes everything a suite evaluation depends on — workload
  * subset, model subset, the full SimConfig, ablation flags, and
  * input scale — and round-trips through canonical JSON, so the same
- * struct is the in-process API (SuiteEvaluator::evaluate), the
- * wire format between sweep driver and forked workers, and a line
+ * struct is the in-process API (SuiteEvaluator::evaluate) and a line
  * in a grid spec.
  *
  * requestDigest() extends SimConfig::configDigest() to the whole

@@ -132,11 +132,21 @@ SuiteEvaluator::SuiteEvaluator(int threads) : pool_(threads)
     // Opt-in persistence without code changes, via the one
     // documented reader of PREDILP_STORE / PREDILP_STORE_MODE
     // (EnvConfig). setPolicy can still override both.
+    // An unknown PREDILP_STORE_MODE fails here, at store setup,
+    // rather than silently meaning read-write.
     EnvConfig env = EnvConfig::fromEnvironment();
+    if (env.storeMode != "" && env.storeMode != "rw" &&
+        env.storeMode != "ro") {
+        throw FatalError("invalid PREDILP_STORE_MODE value '" +
+                         env.storeMode +
+                         "' (accepted: rw, ro; unset PREDILP_STORE "
+                         "to turn the store off)");
+    }
     if (!env.storeDir.empty()) {
         policy_.storeDir = env.storeDir;
-        policy_.storeMode = env.storeReadOnly ? StoreMode::ReadOnly
-                                              : StoreMode::ReadWrite;
+        policy_.storeMode = env.storeMode == "ro"
+                                ? StoreMode::ReadOnly
+                                : StoreMode::ReadWrite;
     }
     openStore();
 }

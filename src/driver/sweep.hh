@@ -1,64 +1,41 @@
 /**
  * @file
- * Sharded scenario-sweep grid driver (ROADMAP item 3). A declarative
- * SweepSpec — a base EvalRequest plus ordered value lists for the
- * paper's hardware axes (issue width, BTB entries/associativity/
- * predictor, cache size/line/associativity/penalty, perfect-vs-real
- * caches) — expands into the full cross product of SweepCells, each
- * a complete, serializable EvalRequest.
+ * Scenario-sweep grid driver. A declarative SweepSpec — a base
+ * EvalRequest plus ordered value lists for the paper's hardware axes
+ * (issue width, BTB entries/associativity/predictor, cache size/line/
+ * associativity/penalty, perfect-vs-real caches) — expands into the
+ * full cross product of SweepCells, each a complete, serializable
+ * EvalRequest.
  *
- * runSweep() executes the grid either sequentially (one in-process
- * SuiteEvaluator) or sharded across N forked worker processes.
- * Sharding is trace-affine: cells are grouped by which captured
- * traces they replay (the request minus its replay-only BTB/
- * predictor/cache knobs) and the groups are dealt round-robin to
- * workers, so no two workers ever capture or replay the same trace.
- * Each worker prices its whole shard with one
- * SuiteEvaluator::evaluateBatch call — every trace is streamed once
- * for all of the shard's configs (pass batch=false to evaluate cell
- * by cell instead; the output is identical). Every worker opens the
- * same flock-safe ArtifactStore (via PREDILP_STORE), so captured
- * traces are shared across the fleet and a warm re-run of the same
- * grid performs zero compiles and zero captures. Workers report
- * per-cell JSON plus their BenchTiming through temp files; the
- * parent validates completeness (no duplicate, no missing cells),
- * merges timing additively, and emits one consolidated
- * BENCH_sweep.json with the cells in grid order plus a per-axis
- * crossover summary (where full predication's mean speedup overtakes
- * the partial-predication Cond. Move model).
+ * runSweep() prices the whole grid in-process with one
+ * SuiteEvaluator::evaluateBatch call on the evaluator's thread pool
+ * (sized by PREDILP_THREADS, else the hardware count). evaluateBatch
+ * groups cells by trace key, so every captured trace is streamed
+ * once for all of the configs that replay it. With PREDILP_STORE set
+ * the evaluator shares captured traces through the flock-safe
+ * ArtifactStore, so a warm re-run of the same grid performs zero
+ * compiles and zero captures — also when several sweep processes
+ * race on one store. The result is one consolidated BENCH_sweep.json
+ * with the cells in grid order plus a per-axis crossover summary
+ * (where full predication's mean speedup overtakes the
+ * partial-predication Cond. Move model).
  *
- * Determinism: the merged cells array is byte-identical to the
- * sequential run's — both paths build cell objects with the same
- * code and route them through JsonValue's canonical dump, and
- * StatsSnapshot's number formatting survives the worker-file
- * round trip losslessly.
- *
- * Self-healing (SweepHealPolicy): the forked path supervises its
- * workers instead of trusting them. A per-shard watchdog SIGKILLs a
- * worker that exceeds its deadline; death (signal, nonzero exit, or
- * a truncated/short/unparseable result file) is detected and
- * attributed (pid, exit status, shard file), and the shard is
- * re-dealt to a fresh worker with bounded exponential backoff, up to
- * maxAttempts total tries. Because cell evaluation is deterministic
- * and the artifact store publishes via temp+rename under a lock, a
- * retried shard reproduces its cells byte-identically — so a sweep
- * that loses workers to crashes converges to the same report as a
- * clean run. Shards that exhaust their attempts become per-cell
- * degraded records ({"degraded": true, "error": {...}} instead of
- * "benchmarks") when degradeCells is set, or throw FatalError when
- * it is not.
+ * Determinism: the cells array is a pure function of the grid, byte-
+ * identical for every pool size, because evaluateBatch assembles
+ * responses by index and cells are rendered through JsonValue's
+ * canonical dump.
  */
 
 #ifndef PREDILP_DRIVER_SWEEP_HH
 #define PREDILP_DRIVER_SWEEP_HH
 
-#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "driver/eval_request.hh"
 #include "driver/evaluator.hh"
+#include "support/diag.hh"
 #include "support/json.hh"
 
 namespace predilp
@@ -112,46 +89,17 @@ struct SweepSpec
     std::vector<SweepCell> expandGrid() const;
 };
 
-/** How the forked sweep path supervises and heals its workers. */
-struct SweepHealPolicy
-{
-    /**
-     * Total tries per shard (first run + retries). 1 disables
-     * retry: the first failure is final.
-     */
-    int maxAttempts = 3;
-    /**
-     * Kill a worker that runs longer than this many seconds and
-     * retry its shard. <= 0 reads PREDILP_SWEEP_WATCHDOG_SEC (and
-     * disables the watchdog when that is unset too).
-     */
-    double watchdogSec = 0;
-    /**
-     * When a shard exhausts maxAttempts: true renders its cells as
-     * degraded records and finishes the sweep; false throws
-     * FatalError with the last failure's attribution.
-     */
-    bool degradeCells = true;
-    /** First retry delay; doubles per subsequent attempt. */
-    double backoffSec = 0.1;
-};
-
 /** What one sweep run produced. */
 struct SweepOutcome
 {
     std::size_t cells = 0;
-    int workers = 1;
-    /** Worker re-forks performed by the healing supervisor. */
-    int workerRetries = 0;
-    /** Cells rendered as degraded records (shards that never
-     * produced a valid result file within their attempt budget). */
-    std::size_t degradedCells = 0;
-    /** Timing merged additively across all workers (or the one
-     * sequential evaluator). */
+    /** Threads in the evaluator pool that priced the grid. */
+    int threads = 1;
+    /** The evaluator's timing for the whole grid. */
     BenchTiming timing;
     /**
      * The dumped "cells" array — the determinism surface: equal for
-     * sequential and any worker count on the same grid and tree.
+     * every pool size on the same grid and tree.
      */
     std::string cellsJson;
     /** Path of the consolidated report written ("" = not written). */
@@ -159,22 +107,33 @@ struct SweepOutcome
 };
 
 /**
- * Execute @p spec with @p workers processes (<= 1 = sequential,
- * in-process) and write the consolidated report to @p outPath
- * ("" skips the file). @p batch prices each shard with one
- * evaluateBatch call (one streaming pass per trace for all its
- * configs) instead of cell-by-cell evaluate; both modes produce a
- * byte-identical cells array. Worker failures are retried per
- * @p heal; a duplicate, missing, or out-of-range cell in a worker's
- * result file counts as that worker's failure and is attributed to
- * it (pid, exit status, shard file). Arms PREDILP_FAULTS (once per
- * process) before forking, so armed fault state is shared with every
- * worker.
+ * Price every cell of @p spec in-process and write the consolidated
+ * report to @p outPath ("" skips the file). Arms PREDILP_FAULTS
+ * (once per process) first. The evaluator runs its strict policy: a
+ * failure that its batch fallback (one sequential recompute of the
+ * failed trace group) does not heal propagates as its typed
+ * exception, and no report is written.
  */
-SweepOutcome runSweep(const SweepSpec &spec, int workers,
-                      const std::string &outPath,
-                      bool batch = true,
-                      const SweepHealPolicy &heal = {});
+SweepOutcome runSweep(const SweepSpec &spec,
+                      const std::string &outPath = "");
+
+/**
+ * The retired (workers, batch) signature, kept only for the
+ * benchmark harness under perfbench/, which calls runSweep(spec, 1,
+ * "", true). Forwards exactly that call shape and throws FatalError
+ * for any other. Delete it when that harness moves to the
+ * two-argument form.
+ */
+inline SweepOutcome
+runSweep(const SweepSpec &spec, int workers,
+         const std::string &outPath, bool batch)
+{
+    if (workers != 1 || !batch) {
+        throw FatalError("runSweep: sweeps run in-process and batched "
+                         "only (workers must be 1, batch true)");
+    }
+    return runSweep(spec, outPath);
+}
 
 } // namespace predilp
 

@@ -109,7 +109,8 @@ class ProgramBuilder
     void
     emitHelper(int index)
     {
-        std::string name = "h" + std::to_string(index);
+        std::string name =
+            std::string("h").append(std::to_string(index));
         os_ << "int " << name << "(int a" << index << ", int b"
             << index << ") {\n";
         indent_ = 1;
@@ -119,8 +120,8 @@ class ProgramBuilder
         // dynamic cost at (main trips) x (call sites) x (helper
         // cost), comfortably under the oracle's fuel.
         ScopeState scope = enterFunction(
-            {"a" + std::to_string(index),
-             "b" + std::to_string(index)},
+            {std::string("a").append(std::to_string(index)),
+             std::string("b").append(std::to_string(index))},
             /*iterBudget=*/32, /*callBudget=*/0);
         const int stmts =
             2 + static_cast<int>(rng_.nextBelow(4));
@@ -312,7 +313,7 @@ class ProgramBuilder
         // +, -, * only: float division can trap on a zero
         // denominator, and the generator guarantees fault-freedom.
         static const char *const ops[] = {" + ", " - ", " * "};
-        return "(" + floatExpr(depth - 1) +
+        return std::string("(").append(floatExpr(depth - 1)) +
                ops[rng_.nextBelow(3)] + floatExpr(depth - 1) + ")";
     }
 
@@ -323,11 +324,11 @@ class ProgramBuilder
                                           " <= ", " > ", " >= "};
         if (opts_.useFloats && !floatGlobals_.empty() &&
             rng_.nextBool(0.2)) {
-            return "(" + floatExpr(1) + ops[rng_.nextBelow(6)] +
-                   floatExpr(1) + ")";
+            return std::string("(").append(floatExpr(1)) +
+                   ops[rng_.nextBelow(6)] + floatExpr(1) + ")";
         }
-        return "(" + intExpr(depth - 1) + ops[rng_.nextBelow(6)] +
-               intExpr(depth - 1) + ")";
+        return std::string("(").append(intExpr(depth - 1)) +
+               ops[rng_.nextBelow(6)] + intExpr(depth - 1) + ")";
     }
 
     std::string
@@ -335,8 +336,8 @@ class ProgramBuilder
     {
         if (depth > 1 && rng_.nextBool(0.3)) {
             const char *op = rng_.nextBool() ? " && " : " || ";
-            return "(" + comparison(depth - 1) + op +
-                   comparison(depth - 1) + ")";
+            return std::string("(").append(comparison(depth - 1)) +
+                   op + comparison(depth - 1) + ")";
         }
         return comparison(depth);
     }
@@ -350,13 +351,13 @@ class ProgramBuilder
           case 0:
           case 1: {
             static const char *const ops[] = {" + ", " - ", " * "};
-            return "(" + intExpr(depth - 1) +
+            return std::string("(").append(intExpr(depth - 1)) +
                    ops[rng_.nextBelow(3)] + intExpr(depth - 1) +
                    ")";
           }
           case 2: {
             static const char *const ops[] = {" & ", " | ", " ^ "};
-            return "(" + intExpr(depth - 1) +
+            return std::string("(").append(intExpr(depth - 1)) +
                    ops[rng_.nextBelow(3)] + intExpr(depth - 1) +
                    ")";
           }
@@ -364,16 +365,16 @@ class ProgramBuilder
             // Shift amounts are masked small to keep the values
             // interesting (the emulator itself accepts any amount).
             const char *op = rng_.nextBool() ? " << " : " >> ";
-            return "(" + intExpr(depth - 1) + op + "((" +
-                   intExpr(depth - 1) + ") & 15))";
+            return std::string("(").append(intExpr(depth - 1)) + op +
+                   "((" + intExpr(depth - 1) + ") & 15))";
           }
           case 4: {
             // Divide/modulo by `(e & 7) + 1`: always in [1, 8], so
             // neither the zero-denominator trap nor the
             // INT_MIN / -1 overflow can fire.
             const char *op = rng_.nextBool() ? " / " : " % ";
-            return "(" + intExpr(depth - 1) + op + "(((" +
-                   intExpr(depth - 1) + ") & 7) + 1))";
+            return std::string("(").append(intExpr(depth - 1)) + op +
+                   "(((" + intExpr(depth - 1) + ") & 7) + 1))";
           }
           case 5:
             return comparison(depth);
@@ -383,9 +384,9 @@ class ProgramBuilder
                    intExpr(depth - 1) + ")";
           }
           case 7:
-            return "(" + condExpr(depth - 1) + " ? " +
-                   intExpr(depth - 1) + " : " + intExpr(depth - 1) +
-                   ")";
+            return std::string("(").append(condExpr(depth - 1)) +
+                   " ? " + intExpr(depth - 1) + " : " +
+                   intExpr(depth - 1) + ")";
           case 8:
             if (!helpers_.empty() && callBudget_ > 0) {
                 --callBudget_;

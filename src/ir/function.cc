@@ -11,7 +11,11 @@ BasicBlock *
 Function::newBlock(const std::string &name)
 {
     auto id = static_cast<BlockId>(blocks_.size());
-    std::string label = name.empty() ? "B" + std::to_string(id) : name;
+    std::string label = name;
+    if (label.empty()) {
+        label = 'B';
+        label += std::to_string(id);
+    }
     blocks_.push_back(std::make_unique<BasicBlock>(id, label));
     layout_.push_back(id);
     return blocks_.back().get();

@@ -1,7 +1,6 @@
 #include "support/env.hh"
 
 #include <cstdlib>
-#include <string_view>
 
 #include "support/logging.hh"
 
@@ -17,7 +16,7 @@ EnvConfig::fromEnvironment()
         config.storeDir = dir;
     }
     if (const char *mode = std::getenv("PREDILP_STORE_MODE"))
-        config.storeReadOnly = std::string_view(mode) == "ro";
+        config.storeMode = mode;
     if (const char *env = std::getenv("PREDILP_THREADS")) {
         int parsed = std::atoi(env);
         if (parsed > 0) {
@@ -32,25 +31,6 @@ EnvConfig::fromEnvironment()
     if (const char *faults = std::getenv("PREDILP_FAULTS");
         faults != nullptr && faults[0] != '\0') {
         config.faultSpec = faults;
-    }
-    if (const char *tmp = std::getenv("TMPDIR");
-        tmp != nullptr && tmp[0] != '\0') {
-        config.tmpDir = tmp;
-        while (config.tmpDir.size() > 1 &&
-               config.tmpDir.back() == '/')
-            config.tmpDir.pop_back();
-    }
-    if (const char *env =
-            std::getenv("PREDILP_SWEEP_WATCHDOG_SEC")) {
-        char *end = nullptr;
-        double parsed = std::strtod(env, &end);
-        if (end != nullptr && *end == '\0' && parsed > 0) {
-            config.sweepWatchdogSec = parsed;
-        } else {
-            warn("ignoring invalid PREDILP_SWEEP_WATCHDOG_SEC "
-                 "value '" +
-                 std::string(env) + "'");
-        }
     }
     return config;
 }

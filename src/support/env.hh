@@ -9,8 +9,11 @@
  *
  *   PREDILP_STORE       artifact-store root directory ("" = store
  *                       tier off unless set programmatically).
- *   PREDILP_STORE_MODE  "ro" = read-only; anything else (default
- *                       "rw") = read-write.
+ *   PREDILP_STORE_MODE  "rw" (default; also unset/empty) =
+ *                       read-write, "ro" = read-only. Read raw
+ *                       here; SuiteEvaluator's constructor, the
+ *                       only store reader, throws FatalError on
+ *                       any other value.
  *   PREDILP_THREADS     worker-thread override for auto-sized
  *                       ThreadPools; <= 0 or unparsable values are
  *                       warned about and ignored.
@@ -20,14 +23,6 @@
  *   PREDILP_FAULTS      deterministic fault-injection spec (see
  *                       support/faultpoint.hh for the grammar);
  *                       unset/empty = no fault points armed.
- *   PREDILP_SWEEP_WATCHDOG_SEC
- *                       per-shard watchdog for the forked sweep
- *                       driver, in seconds; <= 0 or unparsable
- *                       values are warned about and ignored
- *                       (keeping the built-in default).
- *   TMPDIR              (standard POSIX, not PREDILP_*) scratch
- *                       directory for the sweep driver's worker
- *                       files; unset/empty = "/tmp".
  *
  * fromEnvironment() re-reads the environment on every call (tests
  * setenv() between constructions); callers that want one-time
@@ -49,8 +44,8 @@ struct EnvConfig
     /** PREDILP_STORE ("" when unset). */
     std::string storeDir;
 
-    /** PREDILP_STORE_MODE == "ro". */
-    bool storeReadOnly = false;
+    /** Raw PREDILP_STORE_MODE value ("" when unset). */
+    std::string storeMode;
 
     /** Validated PREDILP_THREADS (0 = unset/invalid = auto). */
     int threads = 0;
@@ -60,13 +55,6 @@ struct EnvConfig
 
     /** Raw PREDILP_FAULTS spec ("" when unset). */
     std::string faultSpec;
-
-    /** Validated PREDILP_SWEEP_WATCHDOG_SEC (0 = unset = default). */
-    double sweepWatchdogSec = 0;
-
-    /** TMPDIR with any trailing slashes stripped ("/tmp" when
-     * unset or empty). */
-    std::string tmpDir = "/tmp";
 
     /** Read (and validate) the current environment. */
     static EnvConfig fromEnvironment();

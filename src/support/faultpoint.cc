@@ -1,13 +1,11 @@
 #include "support/faultpoint.hh"
 
 #include <signal.h>
-#include <sys/mman.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
+#include <memory>
 #include <mutex>
 #include <thread>
 
@@ -32,20 +30,14 @@ enum class Trigger : std::uint8_t
 };
 
 /**
- * Per-point mutable state, shared across fork via one MAP_SHARED
- * anonymous page: hit and fire counts survive into (and are updated
- * by) every worker the arming process forks, so "once" is once per
- * process tree and retried workers run clean after the first fire.
+ * Per-point mutable state: hit and fire counts, updated lock-free by
+ * every polling thread.
  */
-struct SharedSlot
+struct Slot
 {
-    std::atomic<std::uint64_t> hits;
-    std::atomic<std::uint64_t> fired;
+    std::atomic<std::uint64_t> hits{0};
+    std::atomic<std::uint64_t> fired{0};
 };
-
-constexpr std::size_t kMaxArmed = 64;
-static_assert(sizeof(SharedSlot) * kMaxArmed <= 4096,
-              "armed-slot array must fit one shared page");
 
 /** One armed spec entry (immutable after arming). */
 struct ArmedPoint
@@ -57,11 +49,11 @@ struct ArmedPoint
     std::uint64_t seed = 0;      ///< Trigger::Prob.
     FaultAction action = FaultAction::Throw;
     std::uint64_t delayMillis = 100; ///< FaultAction::Delay.
-    SharedSlot *slot = nullptr;
+    Slot *slot = nullptr;
 };
 
 std::vector<ArmedPoint> gArmed;
-SharedSlot *gSharedSlots = nullptr;
+std::unique_ptr<Slot[]> gSlots;
 bool gArmedFromEnv = false;
 std::mutex gArmMutex;
 
@@ -220,7 +212,7 @@ splitEntries(const std::string &spec)
     return trimmed;
 }
 
-/** Should @p point fire on this hit? Updates shared counters. */
+/** Should @p point fire on this hit? Updates its counters. */
 bool
 shouldFire(const ArmedPoint &point)
 {
@@ -229,8 +221,7 @@ shouldFire(const ArmedPoint &point)
     switch (point.trigger) {
       case Trigger::Once:
         // The fired count is the once-latch: only the hit that
-        // transitions it 0 -> 1 fires, in this process or any
-        // forked sibling sharing the slot page.
+        // transitions it 0 -> 1 fires, whichever thread makes it.
         {
             std::uint64_t expected = 0;
             return point.slot->fired.compare_exchange_strong(
@@ -308,32 +299,13 @@ armFromSpec(const std::string &spec)
     std::vector<ArmedPoint> armed;
     for (const std::string &entry : splitEntries(spec))
         armed.push_back(parseEntry(entry));
-    if (armed.size() > kMaxArmed) {
-        throw FatalError("PREDILP_FAULTS arms " +
-                         std::to_string(armed.size()) +
-                         " points; at most " +
-                         std::to_string(kMaxArmed) + " supported");
-    }
-
-    // One shared page for the whole process tree, allocated at first
-    // arm and reused (re-arming resets the counters): children
-    // forked after arming inherit the mapping, not a copy.
-    if (gSharedSlots == nullptr && !armed.empty()) {
-        void *page = ::mmap(nullptr, 4096, PROT_READ | PROT_WRITE,
-                            MAP_SHARED | MAP_ANONYMOUS, -1, 0);
-        if (page == MAP_FAILED) {
-            throw FatalError(
-                std::string("fault-point mmap failed: ") +
-                std::strerror(errno));
-        }
-        gSharedSlots = static_cast<SharedSlot *>(page);
-    }
-    if (!armed.empty())
-        std::memset(static_cast<void *>(gSharedSlots), 0, 4096);
+    // Fresh zeroed counters per arm (not concurrent with poll()).
+    auto slots = std::make_unique<Slot[]>(armed.size());
     for (std::size_t i = 0; i < armed.size(); ++i)
-        armed[i].slot = gSharedSlots + i;
+        armed[i].slot = &slots[i];
 
     gArmed = std::move(armed);
+    gSlots = std::move(slots);
     detail::anyArmed.store(!gArmed.empty(),
                            std::memory_order_relaxed);
 }
@@ -378,8 +350,6 @@ knownPoints()
         "eval.compile",          // model compilation in traceFor
         "eval.replay",           // single-config replay in cellResult
         "eval.replay.batch",     // batched replay pass in a group
-        "sweep.worker.start",    // forked worker, before evaluation
-        "sweep.worker.publish",  // forked worker, result-file write
     };
     return points;
 }

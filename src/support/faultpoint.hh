@@ -3,12 +3,12 @@
  * Named, deterministic fault points: failure as a first-class input.
  *
  * Every risky seam in the system — store publish/validate/mmap,
- * evaluator compile/capture/replay, threaded-emulator entry, sweep
- * worker lifecycle — declares a FAULT_POINT("dotted.name"). In a
- * normal run the macro is a single relaxed atomic load (nothing is
- * armed, nothing else happens, unmeasurable against the bench
- * floors). When the PREDILP_FAULTS spec arms a point, reaching it
- * fires a deterministic failure, so crash-recovery paths that would
+ * evaluator compile/capture/replay, threaded-emulator entry —
+ * declares a FAULT_POINT("dotted.name"). In a normal run the macro
+ * is a single relaxed atomic load (nothing is armed, nothing else
+ * happens, unmeasurable against the bench floors). When the
+ * PREDILP_FAULTS spec arms a point, reaching it fires a
+ * deterministic failure, so crash-recovery paths that would
  * otherwise only run on rare hardware or kernel misbehaviour are
  * exercised on purpose, in tests and CI, every day.
  *
@@ -32,14 +32,9 @@
  *   PREDILP_FAULTS='store.publish.rename=once:crash,
  *                   eval.replay=nth:3'
  *
- * Determinism across retries and process trees: arming allocates the
- * per-point hit/fired counters in a MAP_SHARED anonymous page, so
- * forked children (sweep workers) share them with the parent and
- * with each other. "once" therefore means once per process *tree*:
- * the worker that dies from an armed crash marks the point fired
- * before dying, and the re-forked replacement runs clean — which is
- * exactly how a real transient fault behaves, and what makes
- * fault-injected sweeps converge to the fault-free report.
+ * Hit and fire counters are process-local atomics, reset on every
+ * arm: "once" means once per process, so a run that hit an armed
+ * fault converges when re-run disarmed (or in a fresh process).
  *
  * Points must be declared in knownPoints() (names are validated at
  * arm time, so a typo in a spec fails loudly instead of silently
@@ -68,8 +63,8 @@ namespace predilp
 /**
  * The failure a fired fault point injects when its action is
  * "throw". Derives from Error, so every recoverable-failure path
- * (cell isolation, worker retry, batch fallback) treats it exactly
- * like the organic failure it stands in for.
+ * (cell isolation, batch fallback) treats it exactly like the
+ * organic failure it stands in for.
  */
 class FaultInjectedError : public Error
 {
@@ -134,9 +129,8 @@ void armFromSpec(const std::string &spec);
 
 /**
  * Arm from the PREDILP_FAULTS environment variable, once per
- * process; later calls are no-ops (children re-armed by fork
- * inherit the parent's shared state instead). Returns true when a
- * non-empty spec is armed after the call.
+ * process; later calls are no-ops. Returns true when a non-empty
+ * spec is armed after the call.
  */
 bool armFromEnv();
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * Minimal JSON document model for the serializable request/config
- * surface (EvalRequest, SimConfig, sweep grid specs, worker result
- * files). Deliberately small: parse into an immutable JsonValue
+ * surface (EvalRequest, SimConfig, sweep grid specs, BENCH
+ * documents). Deliberately small: parse into an immutable JsonValue
  * tree, navigate with typed accessors that throw FatalError with the
  * offending key path, and re-serialize deterministically.
  *

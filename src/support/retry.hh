@@ -3,12 +3,12 @@
  * retryIo: bounded-backoff retry for transient I/O failures.
  *
  * POSIX calls on a shared filesystem legitimately fail with EINTR
- * (signal delivery mid-syscall — the sweep driver's watchdog sends
- * plenty) or EAGAIN/EWOULDBLOCK without anything being wrong; a
- * store that treats those as permanent turns a hiccup into a cold
- * cache or a dead worker. retryIo() retries exactly that transient
- * class with short exponential backoff and hands every other errno
- * straight back to the caller's normal failure path.
+ * (signal delivery mid-syscall) or EAGAIN/EWOULDBLOCK without
+ * anything being wrong; a store that treats those as permanent
+ * turns a hiccup into a cold cache or a failed run. retryIo()
+ * retries exactly that transient class with short exponential
+ * backoff and hands every other errno straight back to the caller's
+ * normal failure path.
  */
 
 #ifndef PREDILP_SUPPORT_RETRY_HH

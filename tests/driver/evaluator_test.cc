@@ -12,6 +12,7 @@
 
 #include "driver/evaluator.hh"
 #include "support/diag.hh"
+#include "support/env.hh"
 
 namespace predilp
 {
@@ -385,6 +386,38 @@ TEST(SuiteEvaluator, VerifyEachPassPolicyMatchesDefaultResults)
     ASSERT_EQ(a.models.size(), b.models.size());
     for (const auto &[model, sim] : a.models)
         EXPECT_EQ(sim.cycles, b.models.at(model).cycles);
+}
+
+TEST(SuiteEvaluator, StoreModeEnvIsValidated)
+{
+    const std::string dir = testing::TempDir() + "store_mode_env";
+    ASSERT_EQ(setenv("PREDILP_STORE", dir.c_str(), 1), 0);
+    auto modeFor = [](const char *mode) {
+        EXPECT_EQ(setenv("PREDILP_STORE_MODE", mode, 1), 0);
+        return SuiteEvaluator(1).policy().storeMode;
+    };
+    EXPECT_EQ(modeFor("rw"), StoreMode::ReadWrite);
+    EXPECT_EQ(modeFor(""), StoreMode::ReadWrite);
+    EXPECT_EQ(modeFor("ro"), StoreMode::ReadOnly);
+
+    // Anything else fails loudly at store setup, naming the accepted
+    // values, instead of silently meaning read-write. "off" is not
+    // a mode: unsetting PREDILP_STORE turns the store off.
+    for (const char *bad : {"off", "readonly"}) {
+        ASSERT_EQ(setenv("PREDILP_STORE_MODE", bad, 1), 0);
+        // Readers that never open a store are not affected.
+        EXPECT_EQ(EnvConfig::fromEnvironment().storeMode, bad);
+        try {
+            SuiteEvaluator evaluator(1);
+            ADD_FAILURE() << "expected FatalError for " << bad;
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("accepted: rw, ro"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    ASSERT_EQ(unsetenv("PREDILP_STORE_MODE"), 0);
+    ASSERT_EQ(unsetenv("PREDILP_STORE"), 0);
 }
 
 } // namespace

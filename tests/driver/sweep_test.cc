@@ -1,10 +1,12 @@
 /**
  * @file
  * Sweep-driver tests: row-major grid expansion, eager spec
- * validation, the determinism contract (a sharded multi-process run
- * merges to the byte-identical cells array of a sequential run), the
- * consolidated report's shape, and store sharing — concurrent sweeps
- * racing on one artifact store all succeed, and a warm sweep over a
+ * validation, the determinism contract (every pool size prices the
+ * grid to the byte-identical cells array with the same work), the
+ * consolidated report's shape, strict fault propagation, and store
+ * sharing — concurrent sweep processes racing on one artifact store
+ * all succeed, a sweep killed inside the store's publish window
+ * leaves a store a later run converges on, and a warm sweep over a
  * populated store performs zero compiles and zero captures.
  */
 
@@ -13,6 +15,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -20,6 +23,7 @@
 
 #include "driver/sweep.hh"
 #include "support/diag.hh"
+#include "support/faultpoint.hh"
 
 namespace predilp
 {
@@ -116,55 +120,100 @@ TEST(Sweep, SpecValidatesEagerly)
                  FatalError);
 }
 
-TEST(Sweep, ShardedRunMatchesSequentialByteForByte)
+/** runSweep(@p spec) on a pool of @p threads (PREDILP_THREADS). */
+SweepOutcome
+sweepOnThreads(const SweepSpec &spec, const char *threads,
+               const std::string &outPath = "")
 {
-    SweepSpec spec = smallSpec();
-    SweepOutcome sequential = runSweep(spec, 1, "");
-    SweepOutcome sharded = runSweep(spec, 2, "");
-    EXPECT_EQ(sequential.cells, 4u);
-    EXPECT_EQ(sequential.workers, 1);
-    EXPECT_EQ(sharded.workers, 2);
-    // The determinism contract: the merged cells array is identical
-    // to the sequential run's, byte for byte. (Work counts are NOT
-    // compared — without a shared store, each worker recompiles
-    // machines the sequential evaluator's in-process cache shares.)
-    EXPECT_EQ(sharded.cellsJson, sequential.cellsJson);
-    EXPECT_GE(sharded.timing.compiles, sequential.timing.compiles);
-    // Trace-affine sharding: cells replaying the same traces stay on
-    // one worker, so the fleet captures each model trace exactly
-    // once (only the shared 1-issue baseline is duplicated). Naive
-    // index % workers sharding would double every capture here.
-    EXPECT_LT(sharded.timing.captures,
-              2 * sequential.timing.captures);
+    EXPECT_EQ(setenv("PREDILP_THREADS", threads, 1), 0);
+    SweepOutcome outcome = runSweep(spec, outPath);
+    EXPECT_EQ(unsetenv("PREDILP_THREADS"), 0);
+    return outcome;
 }
 
-TEST(Sweep, BatchedAndUnbatchedRunsAreByteIdentical)
+TEST(Sweep, ThreadCountsMatchByteForByte)
 {
-    // Batched shard pricing (one streaming pass per trace for all
-    // its configs) must be indistinguishable from cell-by-cell
-    // evaluation in the merged report — and must not do extra
-    // capture or compile work to get there.
     SweepSpec spec = smallSpec();
-    SweepOutcome batched = runSweep(spec, 2, "");
-    SweepOutcome unbatched = runSweep(spec, 2, "", false);
-    EXPECT_EQ(batched.cellsJson, unbatched.cellsJson);
-    EXPECT_EQ(batched.timing.captures, unbatched.timing.captures);
-    EXPECT_EQ(batched.timing.compiles, unbatched.timing.compiles);
+    SweepOutcome serial = sweepOnThreads(spec, "1");
+    SweepOutcome parallel = sweepOnThreads(spec, "4");
+    EXPECT_EQ(serial.cells, 4u);
+    EXPECT_EQ(serial.threads, 1);
+    EXPECT_EQ(parallel.threads, 4);
+    // The determinism contract: the cells array is identical for
+    // every pool size, byte for byte, and so is the work done to
+    // produce it — the once-per-key caches compile and capture each
+    // trace exactly once however many threads race for it.
+    EXPECT_EQ(parallel.cellsJson, serial.cellsJson);
+    EXPECT_EQ(parallel.timing.compiles, serial.timing.compiles);
+    EXPECT_EQ(parallel.timing.captures, serial.timing.captures);
 }
 
-TEST(Sweep, WorkerCountClampsToCellCount)
+/**
+ * Sets PREDILP_FAULTS for the sweeps in its scope. runSweep arms the
+ * spec itself, once per process, so the latch is reset on entry and
+ * everything is disarmed on exit.
+ */
+class ScopedFaults
+{
+  public:
+    explicit ScopedFaults(const char *spec)
+    {
+        faultpoints::resetForTest();
+        EXPECT_EQ(setenv("PREDILP_FAULTS", spec, 1), 0);
+    }
+    ~ScopedFaults()
+    {
+        unsetenv("PREDILP_FAULTS");
+        faultpoints::resetForTest();
+    }
+    ScopedFaults(const ScopedFaults &) = delete;
+    ScopedFaults &operator=(const ScopedFaults &) = delete;
+};
+
+TEST(Sweep, CompileFaultHealsOnceAndFailsLoudlyWhenPersistent)
 {
     SweepSpec spec = smallSpec();
-    SweepOutcome outcome = runSweep(spec, 16, "");
-    EXPECT_EQ(outcome.workers, 4);
-    EXPECT_EQ(outcome.cells, 4u);
+    const std::string clean = runSweep(spec).cellsJson;
+
+    // A one-shot compile fault bites inside a batch group; the
+    // evaluator's batch fallback recomputes that group sequentially,
+    // so the sweep still prices the clean cells.
+    {
+        ScopedFaults faults("eval.compile=once");
+        SweepOutcome healed = runSweep(spec);
+        EXPECT_EQ(healed.cellsJson, clean);
+        EXPECT_GE(healed.timing.batchFallbacks, 1u);
+    }
+
+    // A fault that also bites the recompute propagates out of the
+    // strict evaluator as its typed error, naming the point...
+    {
+        ScopedFaults faults("eval.compile=prob:1");
+        try {
+            runSweep(spec);
+            ADD_FAILURE() << "expected FaultInjectedError";
+        } catch (const FaultInjectedError &e) {
+            EXPECT_EQ(e.point(), "eval.compile");
+        }
+    }
+    // ...and the next, disarmed sweep prices the clean cells.
+    EXPECT_EQ(runSweep(spec).cellsJson, clean);
+}
+
+TEST(Sweep, LegacySignatureOnlyForwardsTheInProcessShape)
+{
+    SweepSpec spec = smallSpec();
+    EXPECT_EQ(runSweep(spec, 1, "", true).cellsJson,
+              runSweep(spec).cellsJson);
+    EXPECT_THROW(runSweep(spec, 2, "", true), FatalError);
+    EXPECT_THROW(runSweep(spec, 1, "", false), FatalError);
 }
 
 TEST(Sweep, ReportFileHasTheDocumentedShape)
 {
     const std::string dir = freshDir("sweep_report");
     const std::string path = dir + "/BENCH_sweep.json";
-    SweepOutcome outcome = runSweep(smallSpec(), 2, path);
+    SweepOutcome outcome = sweepOnThreads(smallSpec(), "3", path);
     EXPECT_EQ(outcome.path, path);
 
     std::ifstream in(path, std::ios::binary);
@@ -173,9 +222,9 @@ TEST(Sweep, ReportFileHasTheDocumentedShape)
     text << in.rdbuf();
     JsonValue report = JsonValue::parse(text.str());
     EXPECT_EQ(report.at("bench").asString(), "sweep");
-    EXPECT_EQ(report.at("workers").asInt(), 2);
     EXPECT_EQ(report.at("cell_count").asInt(), 4);
-    EXPECT_TRUE(report.at("timing").isObject());
+    // The timing section records the pool that priced the grid.
+    EXPECT_EQ(report.at("timing").at("threads").asInt(), 3);
     EXPECT_TRUE(report.at("crossover").isArray());
 
     const auto &cells = report.at("cells").items();
@@ -201,16 +250,16 @@ TEST(Sweep, ConcurrentSweepsShareOneStore)
     ASSERT_EQ(setenv("PREDILP_STORE", dir.c_str(), 1), 0);
     SweepSpec spec = smallSpec();
 
-    // Two whole sweeps race on the same store: four workers publish
+    // Two whole sweep processes race on the same store, publishing
     // the same artifacts concurrently under the flock protocol, and
-    // every one of them must succeed.
+    // both must succeed.
     pid_t pids[2];
     for (auto &pid : pids) {
         pid = ::fork();
         ASSERT_GE(pid, 0);
         if (pid == 0) {
             try {
-                runSweep(spec, 2, "");
+                runSweep(spec);
                 _exit(0);
             } catch (...) {
                 _exit(1);
@@ -225,36 +274,51 @@ TEST(Sweep, ConcurrentSweepsShareOneStore)
     }
 
     // A warm sweep over the populated store does no new work — every
-    // trace comes off disk — and still merges to the same bytes as a
-    // cold sequential run with no store at all.
-    SweepOutcome warm = runSweep(spec, 2, "");
+    // trace comes off disk — and still produces the same bytes as a
+    // cold run with no store at all.
+    SweepOutcome warm = runSweep(spec);
     EXPECT_EQ(warm.timing.compiles, 0u);
     EXPECT_EQ(warm.timing.captures, 0u);
     EXPECT_GT(warm.timing.storeHits, 0u);
     ASSERT_EQ(unsetenv("PREDILP_STORE"), 0);
-    SweepOutcome cold = runSweep(spec, 1, "");
+    SweepOutcome cold = runSweep(spec);
     EXPECT_EQ(warm.cellsJson, cold.cellsJson);
 }
 
-TEST(Sweep, ShardedRunRespectsTmpdir)
+TEST(Sweep, StorePublishCrashConvergesOnTheSharedStore)
 {
-    // The sharded supervisor stages shard results under $TMPDIR
-    // (POSIX), not a hardcoded /tmp: an unusable TMPDIR fails fast
-    // with a diagnostic naming the attempted template...
-    const std::string missing =
-        freshDir("sweep-tmpdir") + "/does-not-exist";
-    ASSERT_EQ(setenv("TMPDIR", missing.c_str(), 1), 0);
-    EXPECT_THROW(runSweep(smallSpec(), 2, ""), FatalError);
+    SweepSpec spec = smallSpec();
+    const std::string clean = runSweep(spec).cellsJson;
+    const std::string dir = freshDir("sweep_publish_crash_store");
+    ASSERT_EQ(setenv("PREDILP_STORE", dir.c_str(), 1), 0);
 
-    // ...and a valid one hosts a normal run.
-    const std::string tmp = freshDir("sweep-tmpdir-ok");
-    ASSERT_EQ(setenv("TMPDIR", tmp.c_str(), 1), 0);
-    SweepOutcome outcome = runSweep(smallSpec(), 2, "");
-    ASSERT_EQ(unsetenv("TMPDIR"), 0);
-    EXPECT_EQ(outcome.cells, 4u);
-    EXPECT_EQ(outcome.degradedCells, 0u);
-    // The staging directory is cleaned up after the merge.
-    EXPECT_TRUE(fs::is_empty(tmp));
+    // A sweep process dies by SIGKILL inside the store's publish
+    // window: the artifact is staged, its canonical path untouched.
+    pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        faultpoints::resetForTest();
+        setenv("PREDILP_FAULTS", "store.publish.rename=once:crash", 1);
+        try {
+            runSweep(spec);
+        } catch (...) {
+        }
+        _exit(0);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFSIGNALED(status));
+    EXPECT_EQ(WTERMSIG(status), SIGKILL);
+
+    // A disarmed re-run on the same store converges to the clean
+    // cells, and a warm run after it does zero emulation: a torn or
+    // poisoned artifact would force a quarantine-and-recapture.
+    EXPECT_EQ(runSweep(spec).cellsJson, clean);
+    SweepOutcome warm = runSweep(spec);
+    ASSERT_EQ(unsetenv("PREDILP_STORE"), 0);
+    EXPECT_EQ(warm.timing.captures, 0u);
+    EXPECT_GT(warm.timing.storeHits, 0u);
+    EXPECT_EQ(warm.cellsJson, clean);
 }
 
 } // namespace

@@ -3,9 +3,8 @@
  * Fault-point registry tests: the PREDILP_FAULTS spec grammar
  * (valid and invalid entries), trigger semantics (once / nth:K /
  * deterministic prob), action behaviour (throw, delay, short-write
- * cooperation and escalation, crash via fork), counter export, the
- * fork-shared fire state that makes "once" once per process tree,
- * and the unarmed fast path.
+ * cooperation and escalation, crash via fork), counter export, and
+ * the unarmed fast path.
  */
 
 #include <gtest/gtest.h>
@@ -185,28 +184,6 @@ TEST_F(FaultPoint, ArmFromEnvLatchesOncePerProcess)
     EXPECT_FALSE(faultpoints::armFromEnv());
 }
 
-TEST_F(FaultPoint, FireStateIsSharedAcrossFork)
-{
-    faultpoints::armFromSpec("test.fork=once");
-    pid_t pid = ::fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-        _exit(faultpoints::poll("test.fork") == FaultAction::Throw
-                  ? 0
-                  : 1);
-    }
-    int status = 0;
-    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-    ASSERT_TRUE(WIFEXITED(status));
-    EXPECT_EQ(WEXITSTATUS(status), 0); // the child fired...
-    // ...through the MAP_SHARED slot page, so the parent (and any
-    // retried sibling) runs clean afterwards.
-    EXPECT_EQ(faultpoints::poll("test.fork"), FaultAction::None);
-    StatsSnapshot s = faultpoints::stats();
-    EXPECT_EQ(s.counter("fault.test.fork.hits"), 2u);
-    EXPECT_EQ(s.counter("fault.test.fork.fired"), 1u);
-}
-
 TEST_F(FaultPoint, CrashActionDiesBySigkill)
 {
     faultpoints::armFromSpec("test.crash=once:crash");
@@ -220,8 +197,6 @@ TEST_F(FaultPoint, CrashActionDiesBySigkill)
     ASSERT_EQ(::waitpid(pid, &status, 0), pid);
     ASSERT_TRUE(WIFSIGNALED(status));
     EXPECT_EQ(WTERMSIG(status), SIGKILL);
-    // The fired latch survived the child's death.
-    EXPECT_EQ(faultpoints::poll("test.crash"), FaultAction::None);
 }
 
 } // namespace
