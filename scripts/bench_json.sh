@@ -11,9 +11,10 @@
 #
 # Warm pass: reruns the same binaries against the store populated by
 # the cold pass and enforces the store contract — every
-# evaluator-driven bench (store.hit > 0) must report zero compiles,
-# zero captures, zero emulation seconds, and figure output
-# bit-identical to the cold run.
+# evaluator-driven bench (store.hit + store.result_hit > 0) must
+# report zero compiles, zero captures, zero replays (every cell is
+# served from its certified record), zero emulation seconds, and
+# figure output bit-identical to the cold run.
 #
 # Interp-backend pass: reruns everything with PREDILP_EMU=interp
 # against a separate (cold) store and requires figure output
@@ -55,13 +56,22 @@ run_benches() {
     done
 }
 
-# Archive the previous run's certified result records (if any) before
-# this run republishes over them, so the drift gate below can compare
-# the two runs cell by cell.
+# Move the previous run's certified result records (if any) out of
+# the store, so the drift gate below can compare the two runs cell by
+# cell. Moved, not copied: the evaluator serves warm cells from these
+# records, so leaving them in place would make the cold pass echo
+# the old figures back instead of re-pricing every cell on the cached
+# traces, and the gate could never see cycle-model drift.
 rm -rf results-before
 if [ -d "${PREDILP_STORE}/results" ]; then
-    cp -r "${PREDILP_STORE}/results" results-before
+    mv "${PREDILP_STORE}/results" results-before
 fi
+
+# Validate only what this run emits: a BENCH_*.json left in
+# bench-out by another script (e.g. sweep_ci.sh's BENCH_sweep*.json)
+# would otherwise be checked against contracts it was never run
+# under.
+rm -f BENCH_*.json
 
 echo "== cold pass (store: ${PREDILP_STORE}) =="
 run_benches
@@ -283,7 +293,10 @@ for path in sys.argv[1:]:
         warm = json.load(f)
     timing = warm["timing"]
     store = timing.get("store", {})
-    if store.get("hit", 0) == 0:
+    # A warm evaluator serves cells from their certified records
+    # (result_hit) and loads traces (hit) only for cells it has to
+    # replay; either one means the bench exercised the store.
+    if store.get("hit", 0) + store.get("result_hit", 0) == 0:
         # Not evaluator-driven (e.g. the replay-kernel
         # microbenchmark bypasses the cache tiers): no store
         # contract to enforce.
@@ -293,6 +306,9 @@ for path in sys.argv[1:]:
 
     counters = timing.get("counters", {})
     phases = timing.get("phases", {})
+    if counters.get("replays", 0) != 0:
+        zero_work_fail(f"{path}: warm run replayed "
+                       f"({counters['replays']} replays)")
     if store.get("miss", 0) != 0:
         zero_work_fail(f"{path}: warm run missed the store "
                        f"({store['miss']} misses)")
@@ -312,7 +328,8 @@ for path in sys.argv[1:]:
         fail(f"{path}: warm figure output differs from cold run")
     else:
         print(f"ok: {path} warm == cold "
-              f"({store['hit']} store hits, 0 emulations)")
+              f"({store.get('result_hit', 0)} result hits, "
+              f"{store['hit']} store hits, 0 emulations)")
 
 if asserted == 0:
     fail("no bench exercised the artifact store")

@@ -23,9 +23,9 @@
 #
 # Serve-no-corruption pass: after the whole matrix has battered the
 # store, one disarmed run republishes anything a torn publish left
-# behind, then a warm run must do zero compiles and zero captures and
-# still produce the baseline bytes, and `predilp_diff --verify` must
-# pass on the store.
+# behind, then a warm run must do zero compiles, zero captures and
+# zero replays and still produce the baseline bytes, and
+# `predilp_diff --verify` must pass on the store.
 #
 # Usage: scripts/fault_ci.sh. Assumes scripts/tier1.sh already built.
 set -euo pipefail
@@ -165,11 +165,14 @@ while IFS= read -r point; do
              "scripts/fault_ci.sh" >&2
         exit 1
     fi
-    # The load-side points need the warm store (they fire on real
-    # artifact loads); everything else gets a cold store so compile,
-    # capture, and publish actually run and the armed point bites.
+    # The load-side points need the warm store's traces (they fire
+    # on real artifact loads), but not its certified records: those
+    # would serve every cell before any trace is loaded, so they go
+    # and each cell is re-priced off a loaded trace. Everything else
+    # gets a cold store so compile, capture, and publish actually run
+    # and the armed point bites.
     case "${point}" in
-        store.load.*) ;;
+        store.load.*) rm -rf "${PREDILP_STORE}/results" ;;
         *) rm -rf "${PREDILP_STORE}" ;;
     esac
     if [ "${class}" = heal ]; then
@@ -209,8 +212,8 @@ echo "== serve-no-corruption pass =="
 # A torn publish may still be sitting in the store; one disarmed run
 # is allowed to quarantine and recompute it...
 heal_case "healing run" ""
-# ...after which the warm run must find only good artifacts: zero
-# compiles, zero captures, baseline bytes.
+# ...after which the warm run must find only good artifacts and
+# records: zero compiles, zero captures, zero replays, baseline bytes.
 heal_case "warm run" ""
 python3 - "${OUT}/report.json" <<'PYEOF'
 import json
@@ -219,13 +222,13 @@ import sys
 path = sys.argv[1]
 with open(path) as f:
     counters = json.load(f)["timing"]["counters"]
-for key in ("compiles", "captures"):
+for key in ("compiles", "captures", "replays"):
     if counters.get(key, 0) != 0:
         sys.exit(f"error: warm run after fault matrix did new work "
-                 f"({counters[key]} {key}) — a corrupt artifact "
-                 f"survived in the store")
-print("ok: warm store serves only validated artifacts "
-      "(0 compiles, 0 captures)")
+                 f"({counters[key]} {key}) — a corrupt artifact or "
+                 f"certified record survived in the store")
+print("ok: warm store serves only validated artifacts and records "
+      "(0 compiles, 0 captures, 0 replays)")
 PYEOF
 
 # ...and the whole store must pass the provenance contract: every

@@ -15,8 +15,8 @@
 # cell-by-cell identity is pinned by the evaluator's own tests.)
 #
 # Warm pass: re-runs the sweep against the store the cold pass
-# populated and requires zero compiles and zero captures: every trace
-# must come off disk.
+# populated and requires zero compiles, zero captures and zero
+# replays: every cell must be served from its certified record.
 #
 # Usage: scripts/sweep_ci.sh. Assumes scripts/tier1.sh already built.
 # PREDILP_STORE overrides the store location (default
@@ -174,8 +174,11 @@ if counters.get("compiles", 0) != 0:
 if counters.get("captures", 0) != 0:
     fail(f"{warm_path}: warm sweep emulated "
          f"({counters['captures']} captures)")
-if store.get("hit", 0) == 0:
-    fail(f"{warm_path}: warm sweep never hit the store")
+if counters.get("replays", 0) != 0:
+    fail(f"{warm_path}: warm sweep replayed "
+         f"({counters['replays']} replays)")
+if store.get("result_hit", 0) == 0:
+    fail(f"{warm_path}: warm sweep served no certified records")
 
 with open(cold_path) as f:
     cold = json.load(f)
@@ -184,7 +187,7 @@ if warm["cells"] != cold["cells"]:
 
 if not failed:
     print(f"ok: warm sweep did no new work "
-          f"({store.get('hit', 0)} store hits, 0 compiles, "
-          f"0 captures)")
+          f"({store.get('result_hit', 0)} result hits, 0 compiles, "
+          f"0 captures, 0 replays)")
 sys.exit(1 if failed else 0)
 EOF

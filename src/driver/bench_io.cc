@@ -50,6 +50,7 @@ timingSnapshot(const BenchTiming &timing, double wallSeconds,
     s.setCounter("store.repair", timing.storeRepairs);
     s.setCounter("store.write", timing.storeWrites);
     s.setCounter("store.bytes_mapped", timing.storeBytesMapped);
+    s.setCounter("store.result_hit", timing.storeResultHits);
     if (timing.replaySeconds > 0) {
         s.setSeconds("throughput.replay_records_per_sec",
                      static_cast<double>(timing.replayedRecords) /
@@ -119,15 +120,16 @@ printPhaseTiming(std::ostream &os, const BenchTiming &timing,
            << timing.threadedRecords << " threaded, "
            << timing.interpRecords << " interp\n";
     }
-    if (timing.storeHits + timing.storeMisses +
-            timing.storeWrites >
+    if (timing.storeHits + timing.storeMisses + timing.storeWrites +
+            timing.storeResultHits >
         0) {
         os << "-- store: " << timing.storeHits << " hits, "
            << timing.storeMisses << " misses, "
            << timing.storeWrites << " writes, "
            << timing.storeRepairs << " repairs, "
            << timing.storeBytesMapped / (1024 * 1024)
-           << " MiB mapped\n";
+           << " MiB mapped, " << timing.storeResultHits
+           << " record hits\n";
     }
 }
 

@@ -1,5 +1,7 @@
 #include "driver/certified.hh"
 
+#include <algorithm>
+#include <iterator>
 #include <sstream>
 
 #include "sim/timing.hh"
@@ -7,6 +9,26 @@
 
 namespace predilp
 {
+
+namespace
+{
+
+/** The headline SimResult counters, under their figure names. */
+constexpr std::pair<const char *, std::uint64_t SimResult::*>
+    headlineFigures[] = {
+        {"cycles", &SimResult::cycles},
+        {"dyn_instrs", &SimResult::dynInstrs},
+        {"nullified", &SimResult::nullified},
+        {"branches", &SimResult::branches},
+        {"cond_branches", &SimResult::condBranches},
+        {"mispredicts", &SimResult::mispredicts},
+        {"loads", &SimResult::loads},
+        {"stores", &SimResult::stores},
+        {"icache_misses", &SimResult::icacheMisses},
+        {"dcache_misses", &SimResult::dcacheMisses},
+};
+
+} // namespace
 
 JsonValue
 CellProvenance::toJson() const
@@ -76,16 +98,8 @@ certifiedFigures(const SimResult &sim)
     // record bytes — independent of insertion order.
     std::map<std::string, std::uint64_t> figures(
         sim.stats.counters());
-    figures["cycles"] = sim.cycles;
-    figures["dyn_instrs"] = sim.dynInstrs;
-    figures["nullified"] = sim.nullified;
-    figures["branches"] = sim.branches;
-    figures["cond_branches"] = sim.condBranches;
-    figures["mispredicts"] = sim.mispredicts;
-    figures["loads"] = sim.loads;
-    figures["stores"] = sim.stores;
-    figures["icache_misses"] = sim.icacheMisses;
-    figures["dcache_misses"] = sim.dcacheMisses;
+    for (const auto &[name, field] : headlineFigures)
+        figures[name] = sim.*field;
     std::vector<std::pair<std::string, JsonValue>> members;
     members.reserve(figures.size());
     for (const auto &[name, value] : figures)
@@ -102,7 +116,60 @@ certifiedRecord(const CellProvenance &prov, const SimResult &sim)
         {"schema", JsonValue::makeString(certSchemaTag)},
         {"provenance", prov.toJson()},
         {"figures", certifiedFigures(sim)},
+        {"run", JsonValue::makeObject({
+                    {"exit_value", JsonValue::makeInt(sim.exitValue)},
+                    {"output", JsonValue::makeString(sim.output)},
+                })},
     });
+}
+
+std::optional<SimResult>
+certifiedResult(const JsonValue &record, const CellProvenance &prov)
+{
+    using Kind = JsonValue::Kind;
+    if (!record.isObject())
+        return std::nullopt;
+    const JsonValue *schema = record.find("schema");
+    const JsonValue *provenance = record.find("provenance");
+    const JsonValue *figures = record.find("figures");
+    const JsonValue *run = record.find("run");
+    if (schema == nullptr || schema->kind() != Kind::String ||
+        schema->asString() != certSchemaTag ||
+        provenance == nullptr ||
+        provenance->dump() != prov.toJson().dump() ||
+        figures == nullptr || !figures->isObject() ||
+        run == nullptr || !run->isObject())
+        return std::nullopt;
+    const JsonValue *exitValue = run->find("exit_value");
+    const JsonValue *output = run->find("output");
+    if (exitValue == nullptr || exitValue->kind() != Kind::Int ||
+        output == nullptr || output->kind() != Kind::String)
+        return std::nullopt;
+
+    SimResult sim;
+    sim.exitValue = exitValue->asInt();
+    sim.output = output->asString();
+    // certifiedFigures merged the headline counters into the stats
+    // counters (the sim.* scope never uses a headline name), so
+    // every other figure is a stats counter.
+    std::size_t headlines = 0;
+    for (const auto &[name, value] : figures->members()) {
+        if (value.kind() != Kind::Int || value.asInt() < 0)
+            return std::nullopt;
+        const auto count = static_cast<std::uint64_t>(value.asInt());
+        auto headline = std::find_if(
+            std::begin(headlineFigures), std::end(headlineFigures),
+            [&](const auto &entry) { return name == entry.first; });
+        if (headline == std::end(headlineFigures)) {
+            sim.stats.setCounter(name, count);
+        } else {
+            sim.*(headline->second) = count;
+            ++headlines;
+        }
+    }
+    if (headlines != std::size(headlineFigures))
+        return std::nullopt;
+    return sim;
 }
 
 } // namespace predilp

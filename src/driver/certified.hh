@@ -15,12 +15,23 @@
  * sets of these records by provenance identity and classifies every
  * figure delta as identical, explained by a named digest change, or
  * unexplained drift.
+ *
+ * The records are also the evaluator's second result tier: before
+ * loading a trace, SuiteEvaluator looks a cell up by
+ * certifiedResultKey and, when the record's schema and provenance
+ * match, rebuilds the SimResult from it (certifiedResult) instead of
+ * replaying. A warm store therefore serves whatever figures it
+ * holds: a change to figure semantics *must* bump certSchemaTag, or
+ * warm stores keep serving the old figures. CI's drift gate
+ * re-prices every cell on the cached traces, so a forgotten bump
+ * shows up there as unexplained drift.
  */
 
 #ifndef PREDILP_DRIVER_CERTIFIED_HH
 #define PREDILP_DRIVER_CERTIFIED_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "driver/pipeline.hh"
@@ -34,11 +45,17 @@ struct SimResult;
 /**
  * Schema tag carried by every certified record and hashed into its
  * store key. Bump it on any intended change to record shape or
- * figure semantics: old and new records then live under different
- * keys, so the change surfaces in predilp_diff as added/removed
- * cells instead of unexplained drift.
+ * figure semantics (the cycle model, a counter's meaning): old and
+ * new records then live under different keys, so the change
+ * surfaces in predilp_diff as added/removed cells instead of
+ * unexplained drift. The bump is mandatory, not cosmetic — warm
+ * evaluators serve records straight from the store, so without it
+ * they keep returning the old figures.
+ *
+ * v2 added the `run` member (exit value and output), which the
+ * result tier needs to rebuild a complete SimResult.
  */
-inline constexpr const char *certSchemaTag = "predilp-cert-v1";
+inline constexpr const char *certSchemaTag = "predilp-cert-v2";
 
 /**
  * Everything that identifies one priced cell and everything that can
@@ -97,10 +114,22 @@ std::string certifiedResultKey(const CellProvenance &prov);
 JsonValue certifiedFigures(const SimResult &sim);
 
 /** The full (unsealed) certified record for one priced cell:
- * { schema, provenance, figures }. Seal and publish via
+ * { schema, provenance, figures, run }, where run is the program's
+ * { exit_value, output }. Seal and publish via
  * ArtifactStore::saveResult. */
 JsonValue certifiedRecord(const CellProvenance &prov,
                           const SimResult &sim);
+
+/**
+ * Rebuild the SimResult that @p record certifies for the cell
+ * @p prov: every headline counter, the exit value, the output and
+ * the full stats counter snapshot, bit for bit. nullopt — a miss,
+ * so the caller replays — unless the record's schema is
+ * certSchemaTag, its provenance equals @p prov exactly, and every
+ * member has the shape certifiedRecord writes.
+ */
+std::optional<SimResult> certifiedResult(const JsonValue &record,
+                                         const CellProvenance &prov);
 
 } // namespace predilp
 

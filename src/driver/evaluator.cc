@@ -108,6 +108,31 @@ cellProvenance(const Workload &workload, const EvalRequest &request,
 }
 
 /**
+ * The result tier: the cell's SimResult rebuilt from its certified
+ * record in @p store, or nullopt on a miss (no store, no record, or
+ * a torn or mismatched one — the caller then replays and
+ * republishes). Read-only stores serve records too.
+ */
+std::optional<SimResult>
+certifiedHit(ArtifactStore *store, const Workload &workload,
+             const EvalRequest &request, Model model,
+             const SimConfig &sim)
+{
+    if (store == nullptr)
+        return std::nullopt;
+    CellProvenance prov =
+        cellProvenance(workload, request, model, sim);
+    std::optional<JsonValue> record =
+        store->loadResult(certifiedResultKey(prov));
+    if (!record)
+        return std::nullopt;
+    std::optional<SimResult> result = certifiedResult(*record, prov);
+    if (result)
+        store->countResultHit();
+    return result;
+}
+
+/**
  * Publish the certified record for one freshly priced cell.
  * Best-effort like save(): a refusal degrades to a thinner result
  * DB, never a failed evaluation.
@@ -466,6 +491,9 @@ SuiteEvaluator::cellResult(const Workload &workload,
     std::string rkey = tkey + "##" + sim.configDigest();
     return cachedCompute(
         mutex_, results_, rkey, resultCacheHits_, [&] {
+            if (std::optional<SimResult> served = certifiedHit(
+                    store_.get(), workload, request, model, sim))
+                return std::move(*served);
             TracePtr trace =
                 traceFor(workload, request, model, machine, input,
                          sim.maxDynInstrs, tkey);
@@ -663,6 +691,12 @@ SuiteEvaluator::evaluateBatch(const std::vector<EvalRequest> &requests)
                     if (results_.find(rkey) != results_.end())
                         continue;
                 }
+                if (std::optional<SimResult> served = certifiedHit(
+                        store_.get(), *workload, request, model,
+                        sim)) {
+                    seedResult(rkey, std::move(*served));
+                    continue;
+                }
                 auto [it, inserted] =
                     groupIndex.emplace(tkey, groups.size());
                 if (inserted) {
@@ -802,6 +836,7 @@ SuiteEvaluator::timing() const
         timing.storeRepairs = store_->repairs();
         timing.storeWrites = store_->writes();
         timing.storeBytesMapped = store_->bytesMapped();
+        timing.storeResultHits = store_->resultHits();
     }
     return timing;
 }

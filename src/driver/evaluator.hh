@@ -12,6 +12,12 @@
  * sively. Reference (oracle) runs and priced SimResults are cached
  * too.
  *
+ * With a persistent store a priced cell is looked up in four tiers,
+ * cheapest first: the in-memory result cache, the cell's certified
+ * record in the store (driver/certified.hh; a hit loads no trace
+ * and replays nothing), the trace tier (in-memory, then the store's
+ * mmap'd artifact), and finally compile + capture.
+ *
  * Compilation itself is split: the model-independent front end
  * (parse + classical opt + primary profiling) is computed once per
  * (workload, scale) as a FrontendSnapshot and deep-cloned per model,
@@ -74,6 +80,8 @@ struct BenchTiming
     std::uint64_t storeRepairs = 0; ///< corrupt artifacts replaced.
     std::uint64_t storeWrites = 0;  ///< artifacts published to disk.
     std::uint64_t storeBytesMapped = 0; ///< bytes mmap'd on hits.
+    /// Cells served from their certified records (no replay).
+    std::uint64_t storeResultHits = 0;
     double decodeSeconds = 0; ///< pre-decoding for the threaded engine.
     std::uint64_t decodes = 0; ///< DecodedPrograms built.
     std::uint64_t decodedCacheHits = 0; ///< decoded-cache hits.

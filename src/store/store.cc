@@ -1052,12 +1052,10 @@ ArtifactStore::saveResult(const std::string &key,
         publishBytes);
 }
 
-std::string
+std::optional<JsonValue>
 ArtifactStore::loadResult(const std::string &key) const
 {
-    std::optional<JsonValue> record =
-        readSealedJson(resultPath(key));
-    return record ? record->dump() + "\n" : "";
+    return readSealedJson(resultPath(key));
 }
 
 StatsSnapshot
@@ -1069,6 +1067,7 @@ ArtifactStore::stats() const
     s.setCounter("store.repair", repairs());
     s.setCounter("store.write", writes());
     s.setCounter("store.bytes_mapped", bytesMapped());
+    s.setCounter("store.result_hit", resultHits());
     return s;
 }
 

@@ -36,12 +36,16 @@
  * condemns the pair to quarantine and the caller recomputes both.
  *
  * The store also keeps certified result records (saveResult /
- * loadResult): sealed JSON under `results/`, one per priced cell,
- * which `predilp_diff` joins across runs to classify figure drift.
+ * loadResult): sealed JSON under `results/`, one per priced cell.
+ * The evaluator serves a warm cell from its record before touching
+ * any trace (driver/certified.hh), and `predilp_diff` joins them
+ * across runs to classify figure drift.
  *
  * Counters (store.hit / store.miss / store.repair /
- * store.bytes_mapped / store.write) export as a StatsSnapshot
- * through the same observability seam as everything else.
+ * store.bytes_mapped / store.write / store.result_hit) export as a
+ * StatsSnapshot through the same observability seam as everything
+ * else. hit/miss count trace loads only; result_hit counts cells
+ * served from certified records.
  */
 
 #ifndef PREDILP_STORE_STORE_HH
@@ -163,17 +167,22 @@ class ArtifactStore
     /**
      * Publish @p record as a sealed certified-result record at
      * resultPath(key) via the staged write→fsync→rename path.
-     * Read-write mode only. Records are overwritten idempotently —
-     * every evaluation republishes its cells, which self-heals any
-     * torn record left by a crash.
+     * Read-write mode only. Records are overwritten idempotently.
+     * A torn record left by a crash fails its seal, so the evaluator
+     * treats it as a miss, replays the cell and republishes it.
      */
     bool saveResult(const std::string &key, const JsonValue &record);
 
     /**
-     * The sealed certified record at resultPath(key) as one JSON
-     * line, or "" when absent or failing seal validation.
+     * The sealed certified record at resultPath(key), or nullopt
+     * when absent or failing seal validation. Whether the record
+     * serves its cell is the caller's call (certifiedResult); a
+     * served record is counted with countResultHit.
      */
-    std::string loadResult(const std::string &key) const;
+    std::optional<JsonValue> loadResult(const std::string &key) const;
+
+    /** Count one cell served from its certified record. */
+    void countResultHit() { resultHits_.fetch_add(1); }
 
     /** Final on-disk path of @p key's artifact (for tests/GC). */
     std::string objectPath(const std::string &key) const;
@@ -189,6 +198,7 @@ class ArtifactStore
     std::uint64_t repairs() const { return repairs_.load(); }
     std::uint64_t writes() const { return writes_.load(); }
     std::uint64_t bytesMapped() const { return bytesMapped_.load(); }
+    std::uint64_t resultHits() const { return resultHits_.load(); }
 
   private:
     void quarantine(const std::string &path) const;
@@ -206,6 +216,7 @@ class ArtifactStore
     std::atomic<std::uint64_t> repairs_{0};
     std::atomic<std::uint64_t> writes_{0};
     std::atomic<std::uint64_t> bytesMapped_{0};
+    std::atomic<std::uint64_t> resultHits_{0};
 };
 
 /**

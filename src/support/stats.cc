@@ -6,32 +6,6 @@ namespace predilp
 {
 
 void
-StatSet::add(const std::string &name, std::uint64_t delta)
-{
-    counters_[name] += delta;
-}
-
-void
-StatSet::set(const std::string &name, std::uint64_t value)
-{
-    counters_[name] = value;
-}
-
-std::uint64_t
-StatSet::get(const std::string &name) const
-{
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second;
-}
-
-void
-StatSet::merge(const StatSet &other)
-{
-    for (const auto &[name, value] : other.counters_)
-        counters_[name] += value;
-}
-
-void
 TextTable::setHeader(std::vector<std::string> header)
 {
     header_ = std::move(header);

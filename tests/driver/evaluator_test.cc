@@ -2,15 +2,20 @@
  * @file
  * SuiteEvaluator tests: results are identical for every thread
  * count, repeated evaluation hits the caches instead of recompiling,
- * and one evaluator reuses captured traces across simulation
- * configurations (the trace-once/replay-many contract).
+ * one evaluator reuses captured traces across simulation
+ * configurations (the trace-once/replay-many contract), and a fresh
+ * evaluator on a filled store serves every cell from its certified
+ * record without loading a trace.
  */
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 
+#include "driver/certified.hh"
 #include "driver/evaluator.hh"
+#include "store/store.hh"
 #include "support/diag.hh"
 #include "support/env.hh"
 
@@ -81,8 +86,42 @@ expectResultsEq(const std::vector<BenchmarkResult> &a,
             EXPECT_EQ(sim.dcacheMisses, other.dcacheMisses);
             EXPECT_EQ(sim.exitValue, other.exitValue);
             EXPECT_EQ(sim.output, other.output);
+            EXPECT_TRUE(sim.stats == other.stats);
         }
     }
+}
+
+/** Results of @p responses, concatenated in order. */
+std::vector<BenchmarkResult>
+flatten(const std::vector<EvalResponse> &responses)
+{
+    std::vector<BenchmarkResult> out;
+    for (const EvalResponse &response : responses)
+        out.insert(out.end(), response.results.begin(),
+                   response.results.end());
+    return out;
+}
+
+/** A read-write store policy rooted at a fresh @p name directory. */
+EvalPolicy
+freshStorePolicy(const std::string &name)
+{
+    namespace fs = std::filesystem;
+    fs::path dir = fs::path(testing::TempDir()) / name;
+    fs::remove_all(dir);
+    EvalPolicy policy;
+    policy.storeMode = StoreMode::ReadWrite;
+    policy.storeDir = dir.string();
+    return policy;
+}
+
+/** Overwrite @p path with @p bytes. */
+void
+writeBytes(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+    ASSERT_TRUE(out.good()) << path;
 }
 
 TEST(SuiteEvaluator, ThreadCountDoesNotChangeResults)
@@ -366,6 +405,164 @@ TEST(SuiteEvaluator, EvaluateBatchSeedsResultCache)
     EXPECT_EQ(timing.resultCacheHits,
               requests.size() * subset.size() * 4);
     EXPECT_EQ(timing.replays, requests.size() * subset.size() * 4);
+}
+
+TEST(SuiteEvaluator, CertifiedRecordsServeWarmCells)
+{
+    EvalRequest perfect = requestFor(smallConfig(), subset);
+    EvalRequest real = perfect;
+    real.sim.perfectCaches = false;
+    const std::size_t cellsPerRequest = subset.size() * 4;
+
+    // Cold: price both requests and publish one record per cell.
+    const EvalPolicy policy = freshStorePolicy("eval-result-tier");
+    SuiteEvaluator cold(2);
+    cold.setPolicy(policy);
+    const std::vector<BenchmarkResult> coldPerfect =
+        cold.evaluate(perfect).results;
+    const std::vector<BenchmarkResult> coldReal =
+        cold.evaluate(real).results;
+    EXPECT_EQ(cold.timing().replays, 2 * cellsPerRequest);
+    EXPECT_EQ(cold.timing().storeResultHits, 0u);
+
+    // Warm: fresh evaluators on the filled store serve every cell
+    // from its record — no compile, capture, trace load or replay —
+    // with results equal to the cold ones, stats counters included.
+    auto expectServed = [&](const BenchTiming &timing,
+                            std::size_t cells) {
+        EXPECT_EQ(timing.compiles, 0u);
+        EXPECT_EQ(timing.prefixCompiles, 0u);
+        EXPECT_EQ(timing.captures, 0u);
+        EXPECT_EQ(timing.replays, 0u);
+        EXPECT_EQ(timing.storeHits, 0u);
+        EXPECT_EQ(timing.storeMisses, 0u);
+        EXPECT_EQ(timing.storeWrites, 0u);
+        EXPECT_EQ(timing.storeResultHits, cells);
+    };
+    {
+        SCOPED_TRACE("perfect caches");
+        SuiteEvaluator warm(2);
+        warm.setPolicy(policy);
+        expectResultsEq(warm.evaluate(perfect).results, coldPerfect);
+        expectServed(warm.timing(), cellsPerRequest);
+    }
+    {
+        SCOPED_TRACE("real caches");
+        SuiteEvaluator warm(2);
+        warm.setPolicy(policy);
+        expectResultsEq(warm.evaluate(real).results, coldReal);
+        expectServed(warm.timing(), cellsPerRequest);
+    }
+    {
+        // The batch planner serves records too: a hit seeds the
+        // result cache and never joins a batch group.
+        SCOPED_TRACE("evaluateBatch");
+        SuiteEvaluator warm(2);
+        warm.setPolicy(policy);
+        std::vector<BenchmarkResult> expected = coldPerfect;
+        expected.insert(expected.end(), coldReal.begin(),
+                        coldReal.end());
+        expectResultsEq(flatten(warm.evaluateBatch({perfect, real})),
+                        expected);
+        expectServed(warm.timing(), 2 * cellsPerRequest);
+        EXPECT_EQ(warm.timing().batchFallbacks, 0u);
+    }
+}
+
+TEST(SuiteEvaluator, DamagedCertifiedRecordsAreReplayedAndRepublished)
+{
+    const Workload *workload = findWorkload("cmp");
+    ASSERT_NE(workload, nullptr);
+    const EvalRequest request =
+        requestFor(smallConfig(), {workload->name});
+    const EvalPolicy policy = freshStorePolicy("eval-result-damage");
+    SuiteEvaluator cold(1);
+    cold.setPolicy(policy);
+    const std::vector<BenchmarkResult> expected =
+        cold.evaluate(request).results;
+    const CellProvenance prov =
+        expected.at(0).provenance.at(Model::FullPred);
+    ArtifactStore store(policy.storeDir, StoreMode::ReadOnly);
+    const std::string path =
+        store.resultPath(certifiedResultKey(prov));
+    const JsonValue good = store.loadResult(certifiedResultKey(prov))
+                               .value_or(JsonValue());
+    ASSERT_TRUE(certifiedResult(good, prov).has_value());
+
+    // Every damaged record is a miss for its one cell: that cell is
+    // replayed off the stored trace and its record republished,
+    // while the other three cells are still served.
+    CellProvenance otherProv = prov;
+    otherProv.pipelineDigest = "v1:edited";
+    JsonValue reprovenanced = JsonValue::makeObject({
+        {"schema", JsonValue::makeString(certSchemaTag)},
+        {"provenance", otherProv.toJson()},
+        {"figures", *good.find("figures")},
+        {"run", *good.find("run")},
+    });
+    JsonValue v1Shaped = JsonValue::makeObject({
+        {"schema", JsonValue::makeString("predilp-cert-v1")},
+        {"provenance", prov.toJson()},
+        {"figures", *good.find("figures")},
+    });
+    const std::string goodText = sealRecord(good).dump() + "\n";
+    const std::vector<std::pair<std::string, std::string>> damages = {
+        {"torn", goodText.substr(0, goodText.size() / 2)},
+        {"provenance edited and resealed",
+         sealRecord(reprovenanced).dump() + "\n"},
+        {"v1-shaped", sealRecord(v1Shaped).dump() + "\n"},
+    };
+    for (const auto &[name, bytes] : damages) {
+        SCOPED_TRACE(name);
+        writeBytes(path, bytes);
+        SuiteEvaluator warm(1);
+        warm.setPolicy(policy);
+        expectResultsEq(warm.evaluate(request).results, expected);
+        const BenchTiming timing = warm.timing();
+        EXPECT_EQ(timing.compiles, 0u);
+        EXPECT_EQ(timing.captures, 0u);
+        EXPECT_EQ(timing.replays, 1u);
+        EXPECT_EQ(timing.storeHits, 1u);
+        EXPECT_EQ(timing.storeResultHits, 3u);
+        std::optional<JsonValue> republished =
+            store.loadResult(certifiedResultKey(prov));
+        ASSERT_TRUE(republished.has_value());
+        EXPECT_EQ(republished->dump(), good.dump());
+    }
+}
+
+TEST(SuiteEvaluator, ReadOnlyStoreServesRecordsAndWritesNone)
+{
+    const Workload *workload = findWorkload("cmp");
+    ASSERT_NE(workload, nullptr);
+    const EvalRequest request =
+        requestFor(smallConfig(), {workload->name});
+    EvalPolicy policy = freshStorePolicy("eval-result-ro");
+    SuiteEvaluator cold(1);
+    cold.setPolicy(policy);
+    const std::vector<BenchmarkResult> expected =
+        cold.evaluate(request).results;
+
+    // Tear one record: the read-only evaluator replays that cell
+    // but must not republish it, and serves the other three.
+    const CellProvenance prov =
+        expected.at(0).provenance.at(Model::CondMove);
+    policy.storeMode = StoreMode::ReadOnly;
+    ArtifactStore store(policy.storeDir, StoreMode::ReadOnly);
+    const std::string path =
+        store.resultPath(certifiedResultKey(prov));
+    writeBytes(path, "{\"schema\": ");
+
+    SuiteEvaluator warm(1);
+    warm.setPolicy(policy);
+    expectResultsEq(warm.evaluate(request).results, expected);
+    const BenchTiming timing = warm.timing();
+    EXPECT_EQ(timing.compiles, 0u);
+    EXPECT_EQ(timing.replays, 1u);
+    EXPECT_EQ(timing.storeResultHits, 3u);
+    EXPECT_EQ(timing.storeWrites, 0u);
+    EXPECT_FALSE(
+        store.loadResult(certifiedResultKey(prov)).has_value());
 }
 
 TEST(SuiteEvaluator, VerifyEachPassPolicyMatchesDefaultResults)

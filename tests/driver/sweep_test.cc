@@ -7,7 +7,7 @@
  * sharing — concurrent sweep processes racing on one artifact store
  * all succeed, a sweep killed inside the store's publish window
  * leaves a store a later run converges on, and a warm sweep over a
- * populated store performs zero compiles and zero captures.
+ * populated store performs zero compiles, captures and replays.
  */
 
 #include <gtest/gtest.h>
@@ -274,12 +274,14 @@ TEST(Sweep, ConcurrentSweepsShareOneStore)
     }
 
     // A warm sweep over the populated store does no new work — every
-    // trace comes off disk — and still produces the same bytes as a
-    // cold run with no store at all.
+    // cell is served from its certified record, so not even a replay
+    // — and still produces the same bytes as a cold run with no
+    // store at all.
     SweepOutcome warm = runSweep(spec);
     EXPECT_EQ(warm.timing.compiles, 0u);
     EXPECT_EQ(warm.timing.captures, 0u);
-    EXPECT_GT(warm.timing.storeHits, 0u);
+    EXPECT_EQ(warm.timing.replays, 0u);
+    EXPECT_GT(warm.timing.storeResultHits, 0u);
     ASSERT_EQ(unsetenv("PREDILP_STORE"), 0);
     SweepOutcome cold = runSweep(spec);
     EXPECT_EQ(warm.cellsJson, cold.cellsJson);
@@ -312,8 +314,11 @@ TEST(Sweep, StorePublishCrashConvergesOnTheSharedStore)
 
     // A disarmed re-run on the same store converges to the clean
     // cells, and a warm run after it does zero emulation: a torn or
-    // poisoned artifact would force a quarantine-and-recapture.
+    // poisoned artifact would force a quarantine-and-recapture. The
+    // certified records are dropped first so the warm run prices
+    // every cell off the stored traces.
     EXPECT_EQ(runSweep(spec).cellsJson, clean);
+    fs::remove_all(fs::path(dir) / "results");
     SweepOutcome warm = runSweep(spec);
     ASSERT_EQ(unsetenv("PREDILP_STORE"), 0);
     EXPECT_EQ(warm.timing.captures, 0u);

@@ -84,6 +84,17 @@ storePolicy(const std::string &dir)
     return policy;
 }
 
+/**
+ * Delete the certified result records under @p dir, so the next
+ * evaluator prices every cell off the stored traces and the
+ * load-side faults and corruption below actually bite.
+ */
+void
+dropCertifiedRecords(const std::string &dir)
+{
+    fs::remove_all(fs::path(dir) / "results");
+}
+
 /** Flip one payload byte in every published artifact under @p dir. */
 void
 corruptEveryArtifact(const std::string &dir)
@@ -190,6 +201,7 @@ TEST_F(SelfHeal, ValidateFaultQuarantinesAndRecomputes)
 
     // Every artifact load in this evaluator's cold pass fails
     // validation once; the store must quarantine and recompute.
+    dropCertifiedRecords(dir);
     faultpoints::armFromSpec("store.load.validate=nth:1");
     SuiteEvaluator second(2);
     second.setPolicy(storePolicy(dir));
@@ -199,6 +211,7 @@ TEST_F(SelfHeal, ValidateFaultQuarantinesAndRecomputes)
     // The recomputed artifact was republished: a third, disarmed
     // evaluator loads it clean with zero emulation.
     faultpoints::resetForTest();
+    dropCertifiedRecords(dir);
     SuiteEvaluator third(2);
     third.setPolicy(storePolicy(dir));
     EXPECT_EQ(fingerprint(third.evaluate(request)), expected);
@@ -214,6 +227,7 @@ TEST_F(SelfHeal, MmapFaultDegradesToRecompute)
     first.setPolicy(storePolicy(dir));
     const std::string expected = fingerprint(first.evaluate(request));
 
+    dropCertifiedRecords(dir);
     faultpoints::armFromSpec("store.load.mmap=once");
     SuiteEvaluator second(2);
     second.setPolicy(storePolicy(dir));
@@ -236,6 +250,7 @@ TEST_F(SelfHeal, RacingEvaluatorsBothRecoverFromCorruption)
     // recomputes; neither may serve corrupt bytes or trip over the
     // other's quarantine rename.
     corruptEveryArtifact(dir);
+    dropCertifiedRecords(dir);
 
     const std::string outA = dir + "/race_a.txt";
     const std::string outB = dir + "/race_b.txt";

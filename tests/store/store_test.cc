@@ -83,9 +83,11 @@ expectSimEq(const SimResult &a, const SimResult &b)
     EXPECT_EQ(a.dynInstrs, b.dynInstrs);
     EXPECT_EQ(a.nullified, b.nullified);
     EXPECT_EQ(a.branches, b.branches);
+    EXPECT_EQ(a.condBranches, b.condBranches);
     EXPECT_EQ(a.mispredicts, b.mispredicts);
     EXPECT_EQ(a.loads, b.loads);
     EXPECT_EQ(a.stores, b.stores);
+    EXPECT_EQ(a.icacheMisses, b.icacheMisses);
     EXPECT_EQ(a.dcacheMisses, b.dcacheMisses);
     EXPECT_EQ(a.exitValue, b.exitValue);
     EXPECT_EQ(a.output, b.output);
@@ -310,7 +312,9 @@ TEST(ArtifactStore, WarmEvaluatorSkipsAllCompileAndEmulation)
     // Warm process (a fresh evaluator on the same store): every
     // cell loads from disk — no compiles, no emulation at all (the
     // divergence check was already paid at publish time) — and the
-    // results are bit-identical.
+    // results are bit-identical. The certified records go first, so
+    // this warm process exercises the trace tier below them.
+    fs::remove_all(fs::path(dir) / "results");
     SuiteEvaluator warm(1);
     warm.setPolicy(policy);
     BenchmarkResult second =
@@ -322,6 +326,7 @@ TEST(ArtifactStore, WarmEvaluatorSkipsAllCompileAndEmulation)
     EXPECT_EQ(warmTiming.storeMisses, 0u);
     EXPECT_EQ(warmTiming.storeHits, coldTiming.storeWrites);
     EXPECT_GT(warmTiming.storeBytesMapped, 0u);
+    EXPECT_EQ(warmTiming.storeResultHits, 0u);
 
     EXPECT_EQ(first.baseCycles, second.baseCycles);
     ASSERT_EQ(first.models.size(), second.models.size());
@@ -528,23 +533,26 @@ TEST(ArtifactStore, CertifiedResultRecordsRoundTripSealed)
                         StoreMode::ReadWrite);
     const std::string key = ArtifactStore::keyFor("src", "cell");
     JsonValue record = JsonValue::parse(
-        "{\"schema\": \"predilp-cert-v1\", \"figures\":"
+        "{\"schema\": \"predilp-cert-v2\", \"figures\":"
         " {\"cycles\": 42}}");
 
-    EXPECT_EQ(store.loadResult(key), "");
+    EXPECT_FALSE(store.loadResult(key).has_value());
     ASSERT_TRUE(store.saveResult(key, record));
-    const std::string line = store.loadResult(key);
-    ASSERT_NE(line, "");
+    std::optional<JsonValue> loaded = store.loadResult(key);
+    ASSERT_TRUE(loaded.has_value());
     auto sealed = readSealedJson(store.resultPath(key));
     ASSERT_TRUE(sealed.has_value());
-    EXPECT_EQ(line, sealed->dump() + "\n");
+    EXPECT_EQ(loaded->dump(), sealed->dump());
+    EXPECT_EQ(loaded->dump(), sealRecord(record).dump());
+    // Loading is not serving: only the evaluator counts hits.
+    EXPECT_EQ(store.resultHits(), 0u);
 
     // A flipped byte breaks the seal; the record is not served. A
     // republish (idempotent by design) heals it.
     flipByte(store.resultPath(key), 10);
-    EXPECT_EQ(store.loadResult(key), "");
+    EXPECT_FALSE(store.loadResult(key).has_value());
     ASSERT_TRUE(store.saveResult(key, record));
-    EXPECT_NE(store.loadResult(key), "");
+    EXPECT_TRUE(store.loadResult(key).has_value());
 
     // A torn publish (short write at the fault point) is likewise
     // rejected on read and healed by republish.
@@ -552,9 +560,9 @@ TEST(ArtifactStore, CertifiedResultRecordsRoundTripSealed)
         "store.publish.result=once:short-write");
     ASSERT_TRUE(store.saveResult(key, record));
     faultpoints::resetForTest();
-    EXPECT_EQ(store.loadResult(key), "");
+    EXPECT_FALSE(store.loadResult(key).has_value());
     ASSERT_TRUE(store.saveResult(key, record));
-    EXPECT_NE(store.loadResult(key), "");
+    EXPECT_TRUE(store.loadResult(key).has_value());
 
     // Read-only stores refuse to publish records.
     ArtifactStore readOnly(freshDir("store-results-ro"),
@@ -601,6 +609,9 @@ TEST(ArtifactStore, EvaluatorPublishesCertifiedRecords)
         const JsonValue *figures = sealed->find("figures");
         ASSERT_NE(figures, nullptr);
         EXPECT_TRUE(figures->isObject());
+        const JsonValue *run = sealed->find("run");
+        ASSERT_NE(run, nullptr);
+        EXPECT_TRUE(run->isObject());
     }
     EXPECT_EQ(records, result.models.size() + 1);
 
@@ -608,8 +619,63 @@ TEST(ArtifactStore, EvaluatorPublishesCertifiedRecords)
     ArtifactStore store(dir, StoreMode::ReadOnly);
     for (const auto &[model, prov] : result.provenance) {
         SCOPED_TRACE(modelName(model));
-        EXPECT_NE(store.loadResult(certifiedResultKey(prov)), "");
+        EXPECT_TRUE(
+            store.loadResult(certifiedResultKey(prov)).has_value());
     }
+}
+
+TEST(ArtifactStore, CertifiedRecordRoundTripsTheWholeResult)
+{
+    SimResult sim;
+    sim.cycles = 1001;
+    sim.dynInstrs = 1002;
+    sim.nullified = 1003;
+    sim.branches = 1004;
+    sim.condBranches = 1005;
+    sim.mispredicts = 1006;
+    sim.loads = 1007;
+    sim.stores = 1008;
+    sim.icacheMisses = 1009;
+    sim.dcacheMisses = 1010;
+    sim.exitValue = -7;
+    // Program output is bytes, not text: NUL, a control character,
+    // bytes >= 0x80, and JSON's own metacharacters.
+    sim.output = std::string("a\0b\x1f\x80\xff\n\"\\z", 10);
+    sim.stats.setCounter("sim.issue.int_alu", 11);
+    sim.stats.setCounter("sim.btb.lookups", 12);
+    sim.stats.setCounter("sim.slots.width_stall_cycles", 0);
+
+    CellProvenance prov;
+    prov.workload = "cmp";
+    prov.model = "full_pred";
+    prov.ablation = "default";
+    prov.fuel = 99;
+    prov.machine = "8,1";
+    prov.sourceSha256 = "src";
+    prov.pipelineDigest = "v1:p";
+    prov.configDigest = "v1:c";
+    prov.traceDigest = "t";
+
+    std::optional<SimResult> direct =
+        certifiedResult(certifiedRecord(prov, sim), prov);
+    ASSERT_TRUE(direct.has_value());
+    expectSimEq(*direct, sim);
+
+    // The same through a sealed record on disk.
+    ArtifactStore store(freshDir("store-cert-roundtrip"),
+                        StoreMode::ReadWrite);
+    const std::string key = certifiedResultKey(prov);
+    ASSERT_TRUE(store.saveResult(key, certifiedRecord(prov, sim)));
+    std::optional<JsonValue> loaded = store.loadResult(key);
+    ASSERT_TRUE(loaded.has_value());
+    std::optional<SimResult> fromDisk = certifiedResult(*loaded, prov);
+    ASSERT_TRUE(fromDisk.has_value());
+    expectSimEq(*fromDisk, sim);
+
+    // A record certifies exactly one cell.
+    CellProvenance other = prov;
+    other.fuel = 100;
+    EXPECT_FALSE(certifiedResult(*loaded, other).has_value());
 }
 
 } // namespace

@@ -50,23 +50,6 @@ TEST(StringUtils, StartsWith)
     EXPECT_FALSE(startsWith("pre", "pred"));
 }
 
-TEST(Stats, CountersAccumulateAndMerge)
-{
-    StatSet a;
-    a.add("cycles", 10);
-    a.add("cycles", 5);
-    a.set("branches", 3);
-    EXPECT_EQ(a.get("cycles"), 15u);
-    EXPECT_EQ(a.get("missing"), 0u);
-
-    StatSet b;
-    b.add("cycles", 1);
-    b.add("loads", 7);
-    a.merge(b);
-    EXPECT_EQ(a.get("cycles"), 16u);
-    EXPECT_EQ(a.get("loads"), 7u);
-}
-
 TEST(Stats, TextTableAligns)
 {
     TextTable table;
