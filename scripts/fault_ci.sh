@@ -18,8 +18,8 @@
 # Crash pass: SIGKILL inside the store's publish window (temp file
 # staged, canonical path untouched). The sweep must die by SIGKILL,
 # and a disarmed re-run on the same store must converge. Short-write
-# cases tear an artifact, sidecar, or certified record at half length
-# and must heal in one run.
+# cases tear an artifact or a certified record at half length and
+# must heal in one run.
 #
 # Serve-no-corruption pass: after the whole matrix has battered the
 # store, one disarmed run republishes anything a torn publish left
@@ -50,8 +50,7 @@ EOF
 classify() {
     case "$1" in
         store.publish.write | store.publish.rename | \
-        store.publish.prov | store.publish.result | \
-        store.load.mmap | store.load.validate)
+        store.publish.result | store.load.mmap | store.load.validate)
             echo heal ;; # quarantine / recompute in the store
         emu.threaded.capture)
             echo heal ;; # interpreter fallback
@@ -185,7 +184,7 @@ done <<< "${points}"
 echo "== crash pass =="
 # Cold stores so each publish actually happens.
 for point in store.publish.write store.publish.rename \
-        store.publish.prov store.publish.result; do
+        store.publish.result; do
     rm -rf "${PREDILP_STORE}"
     crash_case "${point} killed mid-publish" "${point}=once:crash"
 done
@@ -195,12 +194,6 @@ done
 rm -rf "${PREDILP_STORE}"
 heal_case "truncated artifact publish" \
     "store.publish.write=once:short-write"
-# Provenance sidecar torn at half length: the artifact lands but its
-# sidecar fails the seal, so the loader must condemn the pair and
-# recompute rather than serve unprovenanced bytes.
-rm -rf "${PREDILP_STORE}"
-heal_case "torn provenance sidecar publish" \
-    "store.publish.prov=once:short-write"
 # Certified result record torn at half length: the record fails its
 # seal on read and the next evaluation republishes it; figures never
 # change.
@@ -232,8 +225,7 @@ print("ok: warm store serves only validated artifacts and records "
 PYEOF
 
 # ...and the whole store must pass the provenance contract: every
-# artifact parses and carries a sealed, paired sidecar, every
-# certified record passes its seal. Anything the fault matrix tore
+# artifact parses and every certified record passes its seal. Anything the fault matrix tore
 # must have been healed, not left behind.
 build/tools/predilp_diff --verify "${PREDILP_STORE}"
 

@@ -418,44 +418,8 @@ SuiteEvaluator::traceFor(const Workload &workload,
                     ", memHash ", run.memHash, " vs ",
                     reference.memHash));
             }
-            if (store_ != nullptr) {
-                // Human/tooling-facing provenance sidecar: where
-                // this artifact came from and under which config it
-                // was first captured (the trace itself is shared by
-                // every config with the same machine and fuel).
-                SimConfig captureSim = request.sim;
-                captureSim.machine = machine;
-                JsonValue prov = JsonValue::makeObject({
-                    {"format_version",
-                     JsonValue::makeInt(ArtifactStore::formatVersion)},
-                    {"store_key", JsonValue::makeString(storeKey)},
-                    {"cell_key", JsonValue::makeString(key)},
-                    {"workload",
-                     JsonValue::makeString(workload.name)},
-                    {"model", JsonValue::makeString(modelKey(model))},
-                    {"scale", JsonValue::makeInt(request.scale)},
-                    {"ablation",
-                     JsonValue::makeString(flagsKey(request, model))},
-                    {"fuel", JsonValue::makeInt(
-                                 static_cast<std::int64_t>(fuel))},
-                    {"emu_backend",
-                     JsonValue::makeString(
-                         emuBackendName(defaultEmuBackend()))},
-                    {"config_digest",
-                     JsonValue::makeString(
-                         captureSim.configDigest())},
-                    {"source_sha256",
-                     JsonValue::makeString(
-                         sha256Hex(workload.source))},
-                    {"pipeline_digest",
-                     JsonValue::makeString(passPipelineDigest(
-                         model, request.ablation))},
-                    {"records",
-                     JsonValue::makeInt(static_cast<std::int64_t>(
-                         buffer->size()))},
-                });
-                store_->save(storeKey, *buffer, prov.dump() + "\n");
-            }
+            if (store_ != nullptr)
+                store_->save(storeKey, *buffer);
             std::uint64_t bytes = buffer->memoryBytes();
             capturedBytes_.fetch_add(bytes,
                                      std::memory_order_relaxed);

@@ -333,7 +333,6 @@ parseArtifact(const std::uint8_t *data, std::size_t size)
     parsed.info.records = parsed.recordCount;
     parsed.info.fileBytes = size;
     parsed.info.checksumOffset = kChecksumOffset;
-    parsed.info.payloadChecksum = checksum;
     parsed.info.entriesOffset = entriesOffset;
     parsed.info.entriesBytes =
         static_cast<std::size_t>(totalEntries * sizeof(TraceEntry));
@@ -574,7 +573,7 @@ writeAll(int fd, const std::uint8_t *data, std::size_t size)
  * Stage @p size bytes at a temp sibling of @p path (POSIX write +
  * fsync via retryIo), then atomically rename into place under the
  * store lock of @p dir. The one publish primitive every durable
- * store file — artifact, sidecar, certified record — goes through.
+ * store file — artifact or certified record — goes through.
  */
 bool
 publishBytesAtomically(const std::string &dir,
@@ -605,8 +604,12 @@ publishBytesAtomically(const std::string &dir,
         fs::remove(temp, ec);
         return false;
     }
+    // Crash here (via the fault point) dies with the staged temp on
+    // disk but the canonical path untouched — the exact mid-publish
+    // window the GC and retrying readers must tolerate.
     bool renamed = false;
-    {
+    if (faultpoints::poll("store.publish.rename") ==
+        faultpoints::FaultAction::None) {
         StoreLock lock(dir);
         renamed = retryIo(
             [&] { return ::rename(temp.c_str(), path.c_str()) == 0; });
@@ -618,55 +621,7 @@ publishBytesAtomically(const std::string &dir,
     return true;
 }
 
-/**
- * Read the payload checksum straight out of @p path's 32-byte header
- * (magic-checked, nothing else validated) — enough to test whether a
- * sidecar's `artifact_checksum` names this artifact.
- */
-bool
-readHeaderChecksum(const std::string &path, std::uint64_t &out)
-{
-    std::ifstream in(path, std::ios::binary);
-    char header[kHeaderBytes];
-    if (!in.read(header, kHeaderBytes))
-        return false;
-    if (std::memcmp(header, kMagic, sizeof(kMagic)) != 0)
-        return false;
-    out = 0;
-    for (std::size_t i = 0; i < 8; ++i)
-        out |= std::uint64_t{static_cast<std::uint8_t>(
-                   header[kChecksumOffset + i])}
-               << (8 * i);
-    return true;
-}
-
-/**
- * True iff @p sidecar (a sealed sidecar document) records exactly
- * @p payloadChecksum as its artifact pairing.
- */
-bool
-sidecarPairs(const JsonValue &sidecar, std::uint64_t payloadChecksum)
-{
-    if (!sidecar.isObject())
-        return false;
-    const JsonValue *recorded = sidecar.find("artifact_checksum");
-    return recorded != nullptr &&
-           recorded->kind() == JsonValue::Kind::String &&
-           recorded->asString() ==
-               artifactChecksumString(payloadChecksum);
-}
-
 } // namespace
-
-std::string
-artifactChecksumString(std::uint64_t checksum)
-{
-    static const char *hex = "0123456789abcdef";
-    std::string out = "fnv1a64:";
-    for (int shift = 60; shift >= 0; shift -= 4)
-        out.push_back(hex[(checksum >> shift) & 0xf]);
-    return out;
-}
 
 JsonValue
 sealRecord(const JsonValue &record)
@@ -788,19 +743,6 @@ ArtifactStore::load(const std::string &key)
         }
         ParsedArtifact parsed =
             parseArtifact(mapping->bytes(), mapping->size());
-        // A sidecar, when present, is load-bearing: it must be a
-        // valid sealed record naming this exact artifact. A torn or
-        // stale sidecar condemns the pair — quarantine moves both
-        // and the recompute republishes them together.
-        std::error_code ec;
-        const std::string provPath = path + ".prov.json";
-        if (fs::exists(provPath, ec)) {
-            std::optional<JsonValue> prov = readSealedJson(provPath);
-            if (!prov ||
-                !sidecarPairs(*prov, parsed.info.payloadChecksum))
-                throw TraceCorruptError(
-                    "provenance sidecar torn or stale");
-        }
         StaticIndex index(std::move(parsed.ops),
                           std::move(parsed.regPool),
                           parsed.regBounds);
@@ -812,6 +754,7 @@ ArtifactStore::load(const std::string &key)
                                std::memory_order_relaxed);
         if (mode_ == StoreMode::ReadWrite) {
             // Touch the artifact so the GC's LRU sweep sees use.
+            std::error_code ec;
             fs::last_write_time(
                 path, fs::file_time_type::clock::now(), ec);
         }
@@ -825,9 +768,7 @@ ArtifactStore::load(const std::string &key)
 }
 
 bool
-ArtifactStore::save(const std::string &key,
-                    const TraceBuffer &buffer,
-                    const std::string &provenanceJson)
+ArtifactStore::save(const std::string &key, const TraceBuffer &buffer)
 {
     if (mode_ != StoreMode::ReadWrite)
         return false;
@@ -838,13 +779,6 @@ ArtifactStore::save(const std::string &key,
         return false;
 
     std::vector<std::uint8_t> bytes = serializeArtifact(buffer);
-    // The serialized header already carries the payload checksum;
-    // echo it into the sidecar so readers can prove the pairing.
-    std::uint64_t payloadChecksum = 0;
-    for (std::size_t i = 0; i < 8; ++i)
-        payloadChecksum |= std::uint64_t{bytes[kChecksumOffset + i]}
-                           << (8 * i);
-
     // A torn write publishes a truncated image the loader must catch
     // on checksum; a thrown write degrades to a cold cache.
     std::size_t publishBytes = bytes.size();
@@ -857,126 +791,11 @@ ArtifactStore::save(const std::string &key,
       default:
         break;
     }
-    const std::string temp =
-        path + ".tmp." + std::to_string(::getpid()) + "." +
-        std::to_string(
-            tempSeq.fetch_add(1, std::memory_order_relaxed));
-    {
-        int fd = -1;
-        if (!retryIo([&] {
-                fd = ::open(temp.c_str(),
-                            O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                            0644);
-                return fd >= 0;
-            })) {
-            return false;
-        }
-        bool staged = writeAll(fd, bytes.data(), publishBytes);
-        // Flush before publish: rename must never expose a file the
-        // kernel could still lose the tail of on a crash.
-        if (staged)
-            staged = retryIo([&] { return ::fsync(fd) == 0; });
-        ::close(fd);
-        if (!staged) {
-            fs::remove(temp, ec);
-            return false;
-        }
-    }
-
-    // The sidecar publishes BEFORE the artifact rename: at no kill
-    // point can the canonical artifact exist without durable, sealed
-    // provenance. The reverse window — a fresh sidecar next to a
-    // stale or absent artifact — is closed by the load-path pairing
-    // check on artifact_checksum.
-    if (!provenanceJson.empty() &&
-        !publishProvenance(path, provenanceJson, payloadChecksum)) {
-        fs::remove(temp, ec);
+    if (!publishBytesAtomically(dir_, path, bytes.data(),
+                                publishBytes))
         return false;
-    }
-
-    // Crash here (via the fault point) dies with the staged temp on
-    // disk but the canonical path untouched — the exact mid-publish
-    // window the GC and retrying readers must tolerate.
-    if (faultpoints::poll("store.publish.rename") !=
-        faultpoints::FaultAction::None) {
-        fs::remove(temp, ec);
-        return false;
-    }
-    bool renamed = false;
-    {
-        StoreLock lock(dir_);
-        renamed = retryIo(
-            [&] { return ::rename(temp.c_str(), path.c_str()) == 0; });
-    }
-    if (!renamed) {
-        fs::remove(temp, ec);
-        return false;
-    }
     writes_.fetch_add(1, std::memory_order_relaxed);
     return true;
-}
-
-bool
-ArtifactStore::publishProvenance(
-    const std::string &path, const std::string &provenanceJson,
-    std::uint64_t payloadChecksum) const
-{
-    JsonValue prov;
-    try {
-        prov = JsonValue::parse(provenanceJson);
-    } catch (const std::exception &) {
-        return false;
-    }
-    if (!prov.isObject())
-        return false;
-    std::vector<std::pair<std::string, JsonValue>> members;
-    for (const auto &[key, value] : prov.members())
-        if (key != "artifact_checksum" && key != "checksum")
-            members.emplace_back(key, value);
-    members.emplace_back(
-        "artifact_checksum",
-        JsonValue::makeString(
-            artifactChecksumString(payloadChecksum)));
-    const std::string payload =
-        sealRecord(JsonValue::makeObject(std::move(members)))
-            .dump() +
-        "\n";
-
-    // A torn sidecar fails the seal on read; a thrown publish aborts
-    // the whole save so the artifact never lands unprovenanced.
-    std::size_t publishBytes = payload.size();
-    switch (faultpoints::poll("store.publish.prov")) {
-      case faultpoints::FaultAction::ShortWrite:
-        publishBytes /= 2;
-        break;
-      case faultpoints::FaultAction::Throw:
-        return false;
-      default:
-        break;
-    }
-    return publishBytesAtomically(
-        dir_, path + ".prov.json",
-        reinterpret_cast<const std::uint8_t *>(payload.data()),
-        publishBytes);
-}
-
-std::string
-ArtifactStore::loadProvenance(const std::string &key) const
-{
-    const std::string path = objectPath(key);
-    std::optional<JsonValue> prov =
-        readSealedJson(path + ".prov.json");
-    if (!prov)
-        return "";
-    // An orphan sidecar (artifact gone) or a stale one (artifact
-    // republished under a writer that died before the sidecar) is
-    // never served: the pairing must verify against the bytes on
-    // disk right now.
-    std::uint64_t payloadChecksum = 0;
-    if (!readHeaderChecksum(path, payloadChecksum) ||
-        !sidecarPairs(*prov, payloadChecksum))
-        return "";
-    return prov->dump() + "\n";
 }
 
 void
@@ -1001,14 +820,6 @@ ArtifactStore::quarantine(const std::string &path) const
     fs::rename(path, qdir / name, ec);
     if (ec)
         fs::remove(path, ec); // last resort: drop it.
-    // The sidecar is condemned with its artifact — provenance must
-    // never outlive the bytes it describes, or a recomputed artifact
-    // could pair with stale provenance.
-    const std::string provPath = path + ".prov.json";
-    ec.clear();
-    fs::rename(provPath, qdir / (name + ".prov.json"), ec);
-    if (ec)
-        fs::remove(provPath, ec);
 }
 
 std::string

@@ -18,28 +18,22 @@
  * and fuel are included beyond the obvious axes because scheduling
  * latencies and the capture budget both change the dynamic stream.
  *
- * Robustness: writers serialize to a temp file and publish with an
- * atomic rename under an advisory flock; readers validate magic,
+ * Robustness: every store file — artifact or certified record — is
+ * published by one primitive: stage to a temp file, fsync, then an
+ * atomic rename under an advisory flock. Readers validate magic,
  * version, declared length, and a 64-bit FNV-1a payload checksum
  * before trusting a single byte, and bound every section against the
  * file size. Any mismatch quarantines the file (read-write mode) and
  * reports a miss, so the caller transparently recomputes and
  * re-saves — corrupt artifacts are repaired, never trusted.
  *
- * Provenance is load-bearing: each artifact's `.prov.json` sidecar
- * is a sealed record (see sealRecord) carrying the cell's digests
- * plus the exact payload checksum of the artifact it describes.
- * Sidecars publish through the same staged write→fsync→rename path
- * as the artifact — sidecar first, so no crash window can expose a
- * canonical artifact without durable provenance — and the load path
- * verifies the pairing: a torn, stale, or mismatched sidecar
- * condemns the pair to quarantine and the caller recomputes both.
- *
- * The store also keeps certified result records (saveResult /
- * loadResult): sealed JSON under `results/`, one per priced cell.
- * The evaluator serves a warm cell from its record before touching
- * any trace (driver/certified.hh), and `predilp_diff` joins them
- * across runs to classify figure drift.
+ * Provenance lives in one place: the certified result records
+ * (saveResult / loadResult), sealed JSON under `results/`, one per
+ * priced cell. Each names its trace by `trace_digest` (the
+ * artifact's store key) and carries every digest that explains the
+ * cell's figures. The evaluator serves a warm cell from its record
+ * before touching any trace (driver/certified.hh), and
+ * `predilp_diff` joins them across runs to classify figure drift.
  *
  * Counters (store.hit / store.miss / store.repair /
  * store.bytes_mapped / store.write / store.result_hit) export as a
@@ -85,9 +79,6 @@ struct ArtifactInfo
     std::size_t fileBytes = 0;
     /** Byte offset of the checksum field inside the header. */
     std::size_t checksumOffset = 0;
-    /** The header's FNV-1a-64 payload checksum — what a paired
-     * `.prov.json` sidecar must echo in `artifact_checksum`. */
-    std::uint64_t payloadChecksum = 0;
     /** Packed TraceEntry stream. */
     std::size_t entriesOffset = 0;
     std::size_t entriesBytes = 0;
@@ -129,44 +120,33 @@ class ArtifactStore
      * but invalid file counts a repair, is quarantined (read-write
      * mode), and reports as a miss so the caller recomputes. On a
      * hit the returned buffer replays out of the file mapping.
-     *
-     * When a `.prov.json` sidecar is present it must be a sealed
-     * record whose `artifact_checksum` names this artifact's payload
-     * checksum; a torn or stale sidecar condemns the pair exactly
-     * like a corrupt artifact (quarantine both, report a miss).
-     * Sidecar-less artifacts load normally.
      */
     std::shared_ptr<const TraceBuffer> load(const std::string &key);
 
     /**
-     * Serialize @p buffer under @p key: stage to a temp file (POSIX
-     * write + fsync), then atomically rename into place under the
-     * store's advisory flock. No-op (returning false) in read-only
-     * mode; never throws — a filesystem refusal degrades to a cold
-     * cache, not a failure.
-     *
-     * A non-empty @p provenanceJson (a JSON object) is stamped with
-     * the artifact's payload checksum (`artifact_checksum`), sealed
-     * (`checksum`), and published through the same staged path as a
-     * sidecar at objectPath(key) + ".prov.json" — *before* the
-     * artifact's own rename, so at no kill point does the canonical
-     * artifact exist without durable provenance. If the sidecar
-     * cannot be published the artifact is not published either.
+     * Serialize @p buffer under @p key and publish it through the
+     * store's one staged write→fsync→rename path. No-op (returning
+     * false) in read-only mode; never throws — a filesystem refusal
+     * degrades to a cold cache, not a failure.
      */
-    bool save(const std::string &key, const TraceBuffer &buffer,
-              const std::string &provenanceJson = "");
+    bool save(const std::string &key, const TraceBuffer &buffer);
 
     /**
-     * The sealed provenance sidecar published with @p key's
-     * artifact, or "" when none exists or it fails validation
-     * (torn envelope, or `artifact_checksum` not matching the
-     * on-disk artifact) — invalid provenance is never served.
+     * The retired sidecar signature, kept only for the benchmark
+     * harness under perfbench/, which still passes a provenance JSON
+     * string. Ignores the JSON and forwards to save(key, buffer).
+     * Delete it when that harness moves to the two-argument form.
      */
-    std::string loadProvenance(const std::string &key) const;
+    bool
+    save(const std::string &key, const TraceBuffer &buffer,
+         const std::string &)
+    {
+        return save(key, buffer);
+    }
 
     /**
      * Publish @p record as a sealed certified-result record at
-     * resultPath(key) via the staged write→fsync→rename path.
+     * resultPath(key) via the same staged write→fsync→rename path.
      * Read-write mode only. Records are overwritten idempotently.
      * A torn record left by a crash fails its seal, so the evaluator
      * treats it as a miss, replays the cell and republishes it.
@@ -202,12 +182,6 @@ class ArtifactStore
 
   private:
     void quarantine(const std::string &path) const;
-
-    /** Seal @p provenanceJson with @p payloadChecksum and publish it
-     * atomically at @p path + ".prov.json". */
-    bool publishProvenance(const std::string &path,
-                           const std::string &provenanceJson,
-                           std::uint64_t payloadChecksum) const;
 
     std::string dir_;
     StoreMode mode_;
@@ -246,10 +220,6 @@ bool sealedRecordValid(const JsonValue &record);
  * mismatch. The one gate every sealed-record consumer goes through.
  */
 std::optional<JsonValue> readSealedJson(const std::string &path);
-
-/** Canonical sidecar rendering of an artifact payload checksum:
- * "fnv1a64:" + 16 lowercase hex digits. */
-std::string artifactChecksumString(std::uint64_t checksum);
 
 } // namespace predilp
 

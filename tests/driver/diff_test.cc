@@ -11,6 +11,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -251,25 +252,36 @@ TEST(Diff, VerifyStoreProvenanceFlagsTornPairs)
     std::ostringstream quiet;
     EXPECT_EQ(verifyStoreProvenance(quiet, dir), 0);
 
-    // Deleting one sidecar breaks the contract for exactly that
-    // artifact.
-    std::string firstSidecar;
+    // Flipping one byte of one artifact's entry stream breaks the
+    // contract for exactly that artifact.
+    std::string firstArtifact;
     for (const auto &entry : fs::recursive_directory_iterator(
              fs::path(dir) / "objects")) {
-        const std::string path = entry.path().string();
         if (entry.is_regular_file() &&
-            path.size() > 10 &&
-            path.compare(path.size() - 10, 10, ".prov.json") == 0) {
-            firstSidecar = path;
+            entry.path().extension() == ".trc") {
+            firstArtifact = entry.path().string();
             break;
         }
     }
-    ASSERT_FALSE(firstSidecar.empty());
-    fs::remove(firstSidecar);
+    ASSERT_FALSE(firstArtifact.empty());
+    std::optional<ArtifactInfo> info = inspectArtifact(firstArtifact);
+    ASSERT_TRUE(info.has_value());
+    {
+        std::fstream f(firstArtifact, std::ios::in | std::ios::out |
+                                          std::ios::binary);
+        const auto offset = static_cast<std::streamoff>(
+            info->entriesOffset + info->entriesBytes / 2);
+        char byte = 0;
+        f.seekg(offset);
+        f.read(&byte, 1);
+        byte = static_cast<char>(byte ^ 0x5A);
+        f.seekp(offset);
+        f.write(&byte, 1);
+        ASSERT_TRUE(f.good());
+    }
     std::ostringstream out;
     EXPECT_EQ(verifyStoreProvenance(out, dir), 1);
-    EXPECT_NE(out.str().find("missing or torn sidecar"),
-              std::string::npos);
+    EXPECT_NE(out.str().find("corrupt artifact"), std::string::npos);
 
     // A corrupted certified record is a violation too.
     std::string firstRecord;

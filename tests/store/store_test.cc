@@ -348,13 +348,13 @@ TEST(ArtifactStore, DistinctCellKeysDoNotCollide)
     EXPECT_NE(store.load(a), nullptr);
 }
 
-/** Minimal provenance sidecar payload for the tests below. */
-const char *const kProvJson =
+/** Minimal JSON object for the seal tests below. */
+const char *const kRecordJson =
     "{\"workload\": \"cmp\", \"config_digest\": \"v1:test\"}";
 
 TEST(SealedRecord, SealRoundTripAndTamperDetection)
 {
-    JsonValue record = JsonValue::parse(kProvJson);
+    JsonValue record = JsonValue::parse(kRecordJson);
     JsonValue sealed = sealRecord(record);
     EXPECT_TRUE(sealedRecordValid(sealed));
     // Every member except the seal survives, in order.
@@ -375,155 +375,49 @@ TEST(SealedRecord, SealRoundTripAndTamperDetection)
     EXPECT_FALSE(sealedRecordValid(record));
 }
 
-TEST(ArtifactStore, SidecarIsSealedAndNamesPayloadChecksum)
+TEST(ArtifactStore, LeftoverSidecarIsIgnored)
 {
+    // Stores written before provenance moved into the certified
+    // records may still hold a `.prov.json` file beside an artifact.
+    // Nothing reads it: even a torn one neither condemns the
+    // artifact nor counts a repair.
     auto buffer = captureWorkload("cmp");
-    ArtifactStore store(freshDir("store-sidecar"),
-                        StoreMode::ReadWrite);
-    const std::string key = ArtifactStore::keyFor("src", "cell");
-    ASSERT_TRUE(store.save(key, *buffer, kProvJson));
-
-    const std::string provPath =
-        store.objectPath(key) + ".prov.json";
-    ASSERT_TRUE(fs::exists(provPath));
-    auto sidecar = readSealedJson(provPath);
-    ASSERT_TRUE(sidecar.has_value());
-    const JsonValue *workload = sidecar->find("workload");
-    ASSERT_NE(workload, nullptr);
-    EXPECT_EQ(workload->asString(), "cmp");
-
-    // The sidecar's artifact_checksum matches the artifact header's
-    // payload checksum — the pairing the load path enforces.
-    auto info = inspectArtifact(store.objectPath(key));
-    ASSERT_TRUE(info.has_value());
-    const JsonValue *recorded = sidecar->find("artifact_checksum");
-    ASSERT_NE(recorded, nullptr);
-    EXPECT_EQ(recorded->asString(),
-              artifactChecksumString(info->payloadChecksum));
-    EXPECT_EQ(store.loadProvenance(key),
-              sidecar->dump() + "\n");
-}
-
-TEST(ArtifactStore, QuarantineTakesSidecarAlong)
-{
-    auto buffer = captureWorkload("cmp");
-    const std::string dir = freshDir("store-quarantine-pair");
+    const std::string dir = freshDir("store-leftover-sidecar");
     ArtifactStore store(dir, StoreMode::ReadWrite);
     const std::string key = ArtifactStore::keyFor("src", "cell");
-    ASSERT_TRUE(store.save(key, *buffer, kProvJson));
+    ASSERT_TRUE(store.save(key, *buffer));
+    std::ofstream(store.objectPath(key) + ".prov.json")
+        << "{\"workload\": \"cm";
 
-    auto info = inspectArtifact(store.objectPath(key));
-    ASSERT_TRUE(info.has_value());
-    flipByte(store.objectPath(key),
-             info->entriesOffset + info->entriesBytes / 2);
-
-    // The corrupt artifact is condemned together with its sidecar:
-    // a stale sidecar must never describe a future recompute.
-    EXPECT_EQ(store.load(key), nullptr);
-    EXPECT_EQ(store.repairs(), 1u);
-    EXPECT_FALSE(fs::exists(store.objectPath(key)));
-    EXPECT_FALSE(
-        fs::exists(store.objectPath(key) + ".prov.json"));
-    EXPECT_EQ(store.loadProvenance(key), "");
-    EXPECT_EQ(fileCount(fs::path(dir) / "quarantine"), 2u);
-
-    // Recompute-and-save restores both halves.
-    ASSERT_TRUE(store.save(key, *buffer, kProvJson));
     EXPECT_NE(store.load(key), nullptr);
-    EXPECT_NE(store.loadProvenance(key), "");
+    EXPECT_EQ(store.hits(), 1u);
+    EXPECT_EQ(store.repairs(), 0u);
+    EXPECT_EQ(fileCount(fs::path(dir) / "quarantine"), 0u);
 }
 
-TEST(ArtifactStore, TornSidecarCondemnsThePairAndHeals)
+TEST(ArtifactStore, RenameFaultLeavesNoRecordAndNoTemp)
 {
+    // Certified records publish through the same primitive as
+    // artifacts, so a failure between fsync and rename leaves the
+    // canonical path untouched and cleans up its staged temp.
     faultpoints::resetForTest();
-    auto buffer = captureWorkload("cmp");
-    const std::string dir = freshDir("store-torn-sidecar");
+    const std::string dir = freshDir("store-result-rename");
     ArtifactStore store(dir, StoreMode::ReadWrite);
     const std::string key = ArtifactStore::keyFor("src", "cell");
+    JsonValue record = JsonValue::parse(kRecordJson);
 
-    // A short write tears the sidecar mid-publish; the artifact
-    // itself still lands.
-    faultpoints::armFromSpec("store.publish.prov=once:short-write");
-    ASSERT_TRUE(store.save(key, *buffer, kProvJson));
+    faultpoints::armFromSpec("store.publish.rename=once");
+    EXPECT_FALSE(store.saveResult(key, record));
     faultpoints::resetForTest();
-    ASSERT_TRUE(fs::exists(store.objectPath(key)));
-    ASSERT_TRUE(
-        fs::exists(store.objectPath(key) + ".prov.json"));
+    EXPECT_FALSE(fs::exists(store.resultPath(key)));
+    for (const auto &entry : fs::recursive_directory_iterator(dir)) {
+        EXPECT_EQ(entry.path().filename().string().find(".tmp."),
+                  std::string::npos)
+            << entry.path();
+    }
 
-    // Torn provenance is never served, and the artifact it fails to
-    // describe is not served either — the pair is quarantined...
-    EXPECT_EQ(store.loadProvenance(key), "");
-    EXPECT_EQ(store.load(key), nullptr);
-    EXPECT_EQ(store.repairs(), 1u);
-    EXPECT_FALSE(fs::exists(store.objectPath(key)));
-    EXPECT_EQ(fileCount(fs::path(dir) / "quarantine"), 2u);
-
-    // ...and a clean republish self-heals.
-    ASSERT_TRUE(store.save(key, *buffer, kProvJson));
-    EXPECT_NE(store.load(key), nullptr);
-    EXPECT_NE(store.loadProvenance(key), "");
-}
-
-TEST(ArtifactStore, SidecarPublishFailureAbortsTheArtifact)
-{
-    faultpoints::resetForTest();
-    auto buffer = captureWorkload("cmp");
-    ArtifactStore store(freshDir("store-sidecar-abort"),
-                        StoreMode::ReadWrite);
-    const std::string key = ArtifactStore::keyFor("src", "cell");
-
-    // Sidecar-first ordering: if provenance cannot be made durable,
-    // the artifact must not be published at all.
-    faultpoints::armFromSpec("store.publish.prov=once");
-    EXPECT_FALSE(store.save(key, *buffer, kProvJson));
-    faultpoints::resetForTest();
-    EXPECT_FALSE(fs::exists(store.objectPath(key)));
-    EXPECT_FALSE(
-        fs::exists(store.objectPath(key) + ".prov.json"));
-
-    ASSERT_TRUE(store.save(key, *buffer, kProvJson));
-    EXPECT_NE(store.load(key), nullptr);
-}
-
-TEST(ArtifactStore, StaleSidecarIsRejected)
-{
-    auto buffer = captureWorkload("cmp");
-    const std::string dir = freshDir("store-stale-sidecar");
-    ArtifactStore store(dir, StoreMode::ReadWrite);
-    const std::string key = ArtifactStore::keyFor("src", "cell");
-    ASSERT_TRUE(store.save(key, *buffer, kProvJson));
-
-    // Forge a correctly sealed sidecar whose artifact_checksum names
-    // a different payload: the seal alone is not enough — it must
-    // pair with *this* artifact.
-    std::vector<std::pair<std::string, JsonValue>> forged;
-    forged.emplace_back("workload", JsonValue::makeString("cmp"));
-    forged.emplace_back(
-        "artifact_checksum",
-        JsonValue::makeString(artifactChecksumString(0xdeadbeef)));
-    std::ofstream out(store.objectPath(key) + ".prov.json",
-                      std::ios::trunc);
-    out << sealRecord(JsonValue::makeObject(std::move(forged)))
-               .dump()
-        << "\n";
-    out.close();
-
-    EXPECT_EQ(store.loadProvenance(key), "");
-    EXPECT_EQ(store.load(key), nullptr);
-    EXPECT_EQ(store.repairs(), 1u);
-    EXPECT_EQ(fileCount(fs::path(dir) / "quarantine"), 2u);
-}
-
-TEST(ArtifactStore, OrphanSidecarIsNeverServed)
-{
-    auto buffer = captureWorkload("cmp");
-    ArtifactStore store(freshDir("store-orphan-sidecar"),
-                        StoreMode::ReadWrite);
-    const std::string key = ArtifactStore::keyFor("src", "cell");
-    ASSERT_TRUE(store.save(key, *buffer, kProvJson));
-    fs::remove(store.objectPath(key));
-    EXPECT_EQ(store.loadProvenance(key), "");
-    EXPECT_EQ(store.load(key), nullptr);
+    ASSERT_TRUE(store.saveResult(key, record));
+    EXPECT_TRUE(store.loadResult(key).has_value());
 }
 
 TEST(ArtifactStore, CertifiedResultRecordsRoundTripSealed)

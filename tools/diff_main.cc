@@ -34,8 +34,8 @@ usage(int code)
            "store directories of certified records) and classifies\n"
            "every cell as identical, explained (a provenance digest\n"
            "changed), or unexplained drift (same provenance,\n"
-           "different figures). --verify checks a store's\n"
-           "artifact/sidecar/record provenance contract instead.\n"
+           "different figures). --verify checks that every\n"
+           "artifact and certified record in a store is intact.\n"
            "\n"
            "exit status: 0 no unexplained drift (or store clean),\n"
            "             1 unexplained drift / violations, 2 usage\n";
