@@ -41,7 +41,7 @@ export PREDILP_STORE_MODE="${PREDILP_STORE_MODE:-rw}"
 cd bench-out
 
 # Under fault injection the perf floors are meaningless (delay
-# faults inflate wall time, degradation rungs re-emulate on purpose),
+# faults inflate wall time, store quarantine re-emulates on purpose),
 # so skip them and the warm zero-work counters — but keep every
 # shape check and every bit-identity contract: injected faults must
 # never change the figures.

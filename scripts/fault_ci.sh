@@ -8,12 +8,13 @@
 # Matrix pass: every registered fault point (discovered via
 # predilp_sweep --list-fault-points) must be classified in the
 # explicit table below; an unlisted point fails the script, so a new
-# point can never dodge CI. Two classes:
-#   heal  `<point>=once` is healed inside the one run: exit 0 and a
-#         cells array byte-identical to the baseline.
-#   loud  the fault propagates: non-zero exit with stderr naming the
-#         point, after which a disarmed re-run converges to the
-#         baseline bytes.
+# point can never dodge CI. Every point is armed `<point>=once`, in
+# one of two classes:
+#   heal  the store heals it inside the one run: exit 0 and a cells
+#         array byte-identical to the baseline.
+#   loud  the fault propagates (the evaluator retries nothing):
+#         non-zero exit with stderr naming the point, after which a
+#         disarmed re-run converges to the baseline bytes.
 #
 # Crash pass: SIGKILL inside the store's publish window (temp file
 # staged, canonical path untouched). The sweep must die by SIGKILL,
@@ -52,23 +53,8 @@ classify() {
         store.publish.write | store.publish.rename | \
         store.publish.result | store.load.mmap | store.load.validate)
             echo heal ;; # quarantine / recompute in the store
-        emu.threaded.capture)
-            echo heal ;; # interpreter fallback
-        eval.replay.batch)
-            echo heal ;; # sequential recompute of the batch group
-        eval.compile | eval.replay)
+        eval.compile | eval.replay.batch)
             echo loud ;; # strict evaluator rethrows
-    esac
-}
-
-# loud_spec POINT: the PREDILP_FAULTS spec that makes a loud point
-# bite. A once-fault inside a batch group is healed by the group's
-# sequential recompute, so the point must fire on every hit; and the
-# single-config replay point is only reached on that recompute path.
-loud_spec() {
-    case "$1" in
-        eval.compile) echo "eval.compile=prob:1" ;;
-        eval.replay) echo "eval.replay.batch=prob:1,eval.replay=prob:1" ;;
     esac
 }
 
@@ -177,7 +163,7 @@ while IFS= read -r point; do
     if [ "${class}" = heal ]; then
         heal_case "throw ${point}" "${point}=once"
     else
-        loud_case "${point}" "$(loud_spec "${point}")"
+        loud_case "${point}" "${point}=once"
     fi
 done <<< "${points}"
 

@@ -43,8 +43,6 @@ timingSnapshot(const BenchTiming &timing, double wallSeconds,
     s.setCounter("emu.decoded_bytes", timing.decodedBytes);
     s.setCounter("emu.records.threaded", timing.threadedRecords);
     s.setCounter("emu.records.interp", timing.interpRecords);
-    s.setCounter("emu.backend_fallbacks", timing.backendFallbacks);
-    s.setCounter("counters.batch_fallbacks", timing.batchFallbacks);
     s.setCounter("store.hit", timing.storeHits);
     s.setCounter("store.miss", timing.storeMisses);
     s.setCounter("store.repair", timing.storeRepairs);

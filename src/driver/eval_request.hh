@@ -64,7 +64,8 @@ struct EvalRequest
     /**
      * Bridge from the legacy SuiteConfig surface: machine, perfect
      * caches, and fuel land in `sim`, everything else maps across.
-     * Used by the deprecated SuiteEvaluator shims.
+     * Used by the bench binaries, which build requests from a
+     * SuiteConfig.
      */
     static EvalRequest fromSuiteConfig(const SuiteConfig &config);
 

@@ -1,5 +1,6 @@
 #include "driver/evaluator.hh"
 
+#include <exception>
 #include <sstream>
 #include <unordered_set>
 
@@ -8,7 +9,6 @@
 #include "store/sha256.hh"
 #include "support/env.hh"
 #include "support/faultpoint.hh"
-#include "support/logging.hh"
 
 namespace predilp
 {
@@ -148,6 +148,44 @@ publishCertified(ArtifactStore *store, const Workload &workload,
         cellProvenance(workload, request, model, sim);
     store->saveResult(certifiedResultKey(prov),
                       certifiedRecord(prov, result));
+}
+
+/**
+ * The isolated policy's record of one failed cell: its classified
+ * exception, plus a self-contained reproducer file when
+ * @p reproducerDir is set.
+ */
+CellError
+cellError(const Workload &workload, const EvalRequest &request,
+          Model model, bool baseline, const std::string &input,
+          std::exception_ptr ep, const std::string &reproducerDir)
+{
+    CellError error;
+    error.workload = workload.name;
+    error.model = modelName(model);
+    error.baseline = baseline;
+    error.kind = classifyException(ep);
+    try {
+        std::rethrow_exception(ep);
+    } catch (const std::exception &e) {
+        error.message = e.what();
+    } catch (...) {
+        error.message = "non-standard exception";
+    }
+    if (!reproducerDir.empty()) {
+        ReproducerSpec spec;
+        spec.title = workload.name + "-" + error.model +
+                     (baseline ? "-base" : "");
+        spec.model = error.model;
+        spec.ablation = request.ablation;
+        spec.scale = request.scale;
+        spec.kind = error.kind;
+        spec.message = error.message;
+        spec.input = input;
+        spec.source = workload.source;
+        error.reproducerPath = writeReproducer(reproducerDir, spec);
+    }
+    return error;
 }
 
 } // namespace
@@ -365,40 +403,15 @@ SuiteEvaluator::traceFor(const Workload &workload,
                     decodedKey(workload, request, model, machine));
             }
             std::unique_ptr<TraceBuffer> buffer;
-            bool capturedThreaded = threaded;
             {
                 PhaseTimer timer(captureTime_);
-                if (threaded) {
-                    try {
-                        buffer = captureDecoded(*decoded, input,
-                                                fuel);
-                    } catch (const Error &e) {
-                        // Degradation ladder, rung 1: a trap in the
-                        // threaded engine retries on the interpreter
-                        // oracle — slower, architecturally
-                        // identical, so the published trace (and
-                        // every cell priced from it) is unchanged.
-                        warn(detail::formatMessage(
-                            "threaded capture failed for ",
-                            workload.name, " (",
-                            classifyException(
-                                std::current_exception()),
-                            ": ", e.what(),
-                            "); retrying on the interpreter"));
-                        backendFallbacks_.fetch_add(
-                            1, std::memory_order_relaxed);
-                        capturedThreaded = false;
-                        buffer = capture(*prog, input, fuel,
-                                         EmuBackend::Interp);
-                    }
-                } else {
-                    buffer = capture(*prog, input, fuel,
-                                     EmuBackend::Interp);
-                }
+                buffer = threaded ? captureDecoded(*decoded, input, fuel)
+                                  : capture(*prog, input, fuel,
+                                            EmuBackend::Interp);
                 captures_.fetch_add(1, std::memory_order_relaxed);
             }
             auto &backendRecords =
-                capturedThreaded ? threadedRecords_ : interpRecords_;
+                threaded ? threadedRecords_ : interpRecords_;
             backendRecords.fetch_add(buffer->size(),
                                      std::memory_order_relaxed);
             RunResult reference = referenceFor(
@@ -439,252 +452,142 @@ SuiteEvaluator::traceFor(const Workload &workload,
         });
 }
 
-SimResult
-SuiteEvaluator::cellResult(const Workload &workload,
-                           const EvalRequest &request, Model model,
-                           const MachineConfig &machine,
-                           const SimConfig &sim,
-                           const std::string &input)
-{
-    std::string tkey = traceKey(workload, request, model, machine,
-                                sim.maxDynInstrs);
-    // The priced-result key extends the trace identity with the full
-    // SimConfig digest: any config axis (cache geometry, BTB shape,
-    // predictor, penalties) forces a fresh replay, while the trace
-    // above is still shared.
-    std::string rkey = tkey + "##" + sim.configDigest();
-    return cachedCompute(
-        mutex_, results_, rkey, resultCacheHits_, [&] {
-            if (std::optional<SimResult> served = certifiedHit(
-                    store_.get(), workload, request, model, sim))
-                return std::move(*served);
-            TracePtr trace =
-                traceFor(workload, request, model, machine, input,
-                         sim.maxDynInstrs, tkey);
-            FAULT_POINT("eval.replay");
-            SimResult priced;
-            {
-                PhaseTimer timer(replayTime_);
-                replays_.fetch_add(1, std::memory_order_relaxed);
-                replayedRecords_.fetch_add(
-                    trace->size(), std::memory_order_relaxed);
-                priced = replay(*trace, sim);
-            }
-            publishCertified(store_.get(), workload, request, model,
-                             sim, priced);
-            return priced;
-        });
-}
-
-BenchmarkResult
-SuiteEvaluator::evaluateCells(const Workload &workload,
-                              const EvalRequest &request)
-{
-    BenchmarkResult result;
-    result.name = workload.name;
-    const std::vector<Model> models = request.effectiveModels();
-    std::string input = workload.makeInput(
-        workload.defaultScale * request.scale);
-
-    // Cell 0: the 1-issue Superblock baseline denominator (paper
-    // §4.1), sharing every non-machine axis of the request's config;
-    // cells 1..n: the requested models at the request's machine.
-    std::vector<SimResult> cells(models.size() + 1);
-    std::vector<CellError> errors;
-    std::mutex errorMutex;
-    pool_.parallelFor(models.size() + 1, [&](std::size_t i) {
-        const bool baseline = i == 0;
-        const Model model =
-            baseline ? Model::Superblock : models[i - 1];
-        SimConfig sim = request.sim;
-        if (baseline)
-            sim.machine = issue1();
-        try {
-            cells[i] = cellResult(workload, request, model,
-                                  sim.machine, sim, input);
-        } catch (...) {
-            // Strict policy: let the pool rethrow the first failure.
-            if (!policy_.isolateFaults)
-                throw;
-            // Isolated policy: degrade this cell to a structured
-            // error record (plus a reproducer file when configured)
-            // and let the rest of the suite complete.
-            std::exception_ptr ep = std::current_exception();
-            CellError error;
-            error.workload = workload.name;
-            error.model = modelName(model);
-            error.baseline = baseline;
-            error.kind = classifyException(ep);
-            try {
-                std::rethrow_exception(ep);
-            } catch (const std::exception &e) {
-                error.message = e.what();
-            } catch (...) {
-                error.message = "non-standard exception";
-            }
-            if (!policy_.reproducerDir.empty()) {
-                ReproducerSpec spec;
-                spec.title = workload.name + "-" + error.model +
-                             (baseline ? "-base" : "");
-                spec.model = error.model;
-                spec.ablation = request.ablation;
-                spec.scale = request.scale;
-                spec.kind = error.kind;
-                spec.message = error.message;
-                spec.input = input;
-                spec.source = workload.source;
-                error.reproducerPath =
-                    writeReproducer(policy_.reproducerDir, spec);
-            }
-            std::lock_guard<std::mutex> lock(errorMutex);
-            errors.push_back(std::move(error));
-        }
-    });
-
-    result.baseCycles = cells[0].cycles;
-    for (std::size_t i = 0; i < models.size(); ++i) {
-        result.models[models[i]] = std::move(cells[i + 1]);
-        result.provenance[models[i]] =
-            cellProvenance(workload, request, models[i],
-                           request.sim);
-    }
-    result.errors = std::move(errors);
-    return result;
-}
-
 EvalResponse
 SuiteEvaluator::evaluate(const EvalRequest &request)
 {
-    std::vector<const Workload *> selected;
-    if (request.workloads.empty()) {
-        for (const Workload &workload : allWorkloads())
-            selected.push_back(&workload);
-    } else {
-        for (const std::string &name : request.workloads) {
-            const Workload *workload = findWorkload(name);
-            if (workload == nullptr)
-                throw FatalError("unknown workload '" + name + "'");
-            selected.push_back(workload);
-        }
-    }
-    EvalResponse response;
-    response.requestDigest = request.requestDigest();
-    response.results.resize(selected.size());
-    pool_.parallelFor(selected.size(), [&](std::size_t i) {
-        response.results[i] = evaluateCells(*selected[i], request);
-    });
-    return response;
-}
-
-void
-SuiteEvaluator::seedResult(const std::string &rkey, SimResult result)
-{
-    std::promise<SimResult> promise;
-    std::shared_future<SimResult> future =
-        promise.get_future().share();
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        // Never overwrite: a concurrent evaluate() may already own
-        // (or have finished) this key; its value is equally valid.
-        if (!results_.emplace(rkey, future).second)
-            return;
-    }
-    promise.set_value(std::move(result));
+    return std::move(evaluateBatch({request}).front());
 }
 
 std::vector<EvalResponse>
 SuiteEvaluator::evaluateBatch(const std::vector<EvalRequest> &requests)
 {
+    /** One priced cell of a row; cell 0 is the baseline. */
+    struct Cell
+    {
+        Model model = Model::Superblock;
+        bool baseline = false;
+        std::string rkey;
+    };
+    /** One workload of one request, with its input computed once. */
+    struct Row
+    {
+        std::size_t requestIndex = 0;
+        const Workload *workload = nullptr;
+        std::string input;
+        std::vector<Cell> cells;
+    };
     /**
      * One trace's worth of pending work: every not-yet-priced
-     * SimConfig whose cell maps to the same trace key, plus the
-     * identity needed to produce that trace. Configs within a group
-     * differ only in non-machine axes (or belong to different
-     * requests sharing a machine) — trace keys are machine-only.
+     * SimConfig whose cell maps to the same trace key. Configs
+     * within a group differ only in non-machine axes (or belong to
+     * different requests sharing a machine) — trace keys are
+     * machine-only.
      */
-    struct BatchGroup
+    struct Group
     {
-        const Workload *workload = nullptr;
-        const EvalRequest *request = nullptr;
+        const Row *row = nullptr;
         Model model = Model::Superblock;
-        MachineConfig machine;
-        std::string input;
         std::string tkey;
         std::vector<std::string> rkeys;
         std::vector<SimConfig> configs;
+        std::exception_ptr failure;
     };
 
-    // --- plan: enumerate cells, dedup by result key, group by
-    // trace key (deterministic first-appearance order) ---
-    std::vector<BatchGroup> groups;
-    std::unordered_map<std::string, std::size_t> groupIndex;
-    std::unordered_set<std::string> plannedRkeys;
-    for (const EvalRequest &request : requests) {
+    // --- plan: resolve every workload name before any compile, then
+    // enumerate cells, count result-cache hits, serve certified
+    // records, and group the rest by trace key (deterministic
+    // first-appearance order) ---
+    std::vector<Row> rows;
+    for (std::size_t r = 0; r < requests.size(); ++r) {
+        const EvalRequest &request = requests[r];
         std::vector<const Workload *> selected;
         if (request.workloads.empty()) {
             for (const Workload &workload : allWorkloads())
                 selected.push_back(&workload);
         } else {
             for (const std::string &name : request.workloads) {
-                // Unknown names throw from the assembly-phase
-                // evaluate() below, where the error is attributable
-                // to its request; the planner just skips them.
-                if (const Workload *workload = findWorkload(name))
-                    selected.push_back(workload);
+                const Workload *workload = findWorkload(name);
+                if (workload == nullptr)
+                    throw FatalError("unknown workload '" + name + "'");
+                selected.push_back(workload);
             }
         }
-        const std::vector<Model> models = request.effectiveModels();
         for (const Workload *workload : selected) {
-            std::string input = workload->makeInput(
-                workload->defaultScale * request.scale);
-            for (std::size_t i = 0; i < models.size() + 1; ++i) {
-                const bool baseline = i == 0;
-                const Model model =
-                    baseline ? Model::Superblock : models[i - 1];
-                SimConfig sim = request.sim;
-                if (baseline)
-                    sim.machine = issue1();
-                std::string tkey =
-                    traceKey(*workload, request, model, sim.machine,
-                             sim.maxDynInstrs);
-                std::string rkey = tkey + "##" + sim.configDigest();
-                if (!plannedRkeys.insert(rkey).second)
-                    continue;
-                {
-                    std::lock_guard<std::mutex> lock(mutex_);
-                    if (results_.find(rkey) != results_.end())
-                        continue;
-                }
-                if (std::optional<SimResult> served = certifiedHit(
-                        store_.get(), *workload, request, model,
-                        sim)) {
-                    seedResult(rkey, std::move(*served));
-                    continue;
-                }
-                auto [it, inserted] =
-                    groupIndex.emplace(tkey, groups.size());
-                if (inserted) {
-                    groups.push_back(BatchGroup{
-                        workload, &request, model, sim.machine,
-                        input, std::move(tkey), {}, {}});
-                }
-                BatchGroup &group = groups[it->second];
-                group.rkeys.push_back(std::move(rkey));
-                group.configs.push_back(sim);
-            }
+            rows.push_back(Row{
+                r, workload,
+                workload->makeInput(workload->defaultScale *
+                                    request.scale),
+                {}});
         }
     }
 
-    // --- execute: trace-major batch passes. Each group maps its
-    // trace once and prices every pending config against it. ---
-    auto runGroup = [&](const BatchGroup &group,
-                        ThreadPool *lanePool) {
+    std::vector<Group> groups;
+    std::unordered_map<std::string, std::size_t> groupIndex;
+    std::unordered_set<std::string> plannedRkeys;
+    for (Row &row : rows) {
+        const EvalRequest &request = requests[row.requestIndex];
+        const std::vector<Model> models = request.effectiveModels();
+        // Cell 0: the 1-issue Superblock baseline denominator (paper
+        // §4.1), sharing every non-machine axis of the request's
+        // config; cells 1..n: the requested models at its machine.
+        for (std::size_t i = 0; i < models.size() + 1; ++i) {
+            Cell cell;
+            cell.baseline = i == 0;
+            cell.model = cell.baseline ? Model::Superblock
+                                       : models[i - 1];
+            SimConfig sim = request.sim;
+            if (cell.baseline)
+                sim.machine = issue1();
+            std::string tkey =
+                traceKey(*row.workload, request, cell.model,
+                         sim.machine, sim.maxDynInstrs);
+            // The priced-result key extends the trace identity with
+            // the full SimConfig digest: any config axis (cache
+            // geometry, BTB shape, predictor, penalties) forces a
+            // fresh replay, while the trace itself is still shared.
+            cell.rkey = tkey + "##" + sim.configDigest();
+            row.cells.push_back(cell);
+            bool priced = !plannedRkeys.insert(cell.rkey).second;
+            if (!priced) {
+                std::lock_guard<std::mutex> lock(mutex_);
+                priced = results_.count(cell.rkey) != 0;
+            }
+            if (priced) {
+                resultCacheHits_.fetch_add(1, std::memory_order_relaxed);
+                continue;
+            }
+            if (std::optional<SimResult> served = certifiedHit(
+                    store_.get(), *row.workload, request, cell.model,
+                    sim)) {
+                std::lock_guard<std::mutex> lock(mutex_);
+                results_.emplace(cell.rkey, std::move(*served));
+                continue;
+            }
+            auto [it, inserted] =
+                groupIndex.emplace(tkey, groups.size());
+            if (inserted) {
+                groups.push_back(
+                    Group{&row, cell.model, std::move(tkey), {}, {}, {}});
+            }
+            Group &group = groups[it->second];
+            group.rkeys.push_back(cell.rkey);
+            group.configs.push_back(sim);
+        }
+    }
+
+    // --- price: trace-major batch passes. Each group maps its trace
+    // once and prices every pending config against it; a group that
+    // throws keeps its exception for its cells. ---
+    auto runGroup = [&](Group &group, ThreadPool *lanePool) {
         try {
             FAULT_POINT("eval.replay.batch");
-            TracePtr trace = traceFor(
-                *group.workload, *group.request, group.model,
-                group.machine, group.input,
-                group.configs.front().maxDynInstrs, group.tkey);
+            const Row &row = *group.row;
+            const EvalRequest &request = requests[row.requestIndex];
+            const SimConfig &first = group.configs.front();
+            TracePtr trace =
+                traceFor(*row.workload, request, group.model,
+                         first.machine, row.input, first.maxDynInstrs,
+                         group.tkey);
             std::vector<SimResult> priced;
             {
                 PhaseTimer timer(replayTime_);
@@ -695,27 +598,16 @@ SuiteEvaluator::evaluateBatch(const std::vector<EvalRequest> &requests)
             replayedRecords_.fetch_add(trace->size() * priced.size(),
                                        std::memory_order_relaxed);
             for (std::size_t i = 0; i < priced.size(); ++i) {
-                // Batched cells certify exactly like unbatched ones:
-                // the record's provenance comes from the config that
+                // The record's provenance comes from the config that
                 // keyed the cell, not from the group.
-                publishCertified(store_.get(), *group.workload,
-                                 *group.request, group.model,
-                                 group.configs[i], priced[i]);
-                seedResult(group.rkeys[i], std::move(priced[i]));
+                publishCertified(store_.get(), *row.workload, request,
+                                 group.model, group.configs[i],
+                                 priced[i]);
+                std::lock_guard<std::mutex> lock(mutex_);
+                results_.emplace(group.rkeys[i], std::move(priced[i]));
             }
         } catch (...) {
-            // Degradation ladder, rung 2: leave the group unseeded.
-            // The assembly pass below recomputes these cells
-            // sequentially through cellResult() and applies the
-            // failure policy (strict rethrow or CellError isolation)
-            // exactly as the unbatched path would. Counted and
-            // warned so a batch that silently lost its amortization
-            // is visible in the merged timing.
-            batchFallbacks_.fetch_add(1, std::memory_order_relaxed);
-            warn(detail::formatMessage(
-                "batch group for trace '", group.tkey, "' failed (",
-                classifyException(std::current_exception()),
-                "); falling back to sequential recompute"));
+            group.failure = std::current_exception();
         }
     };
     if (groups.size() == 1) {
@@ -727,14 +619,50 @@ SuiteEvaluator::evaluateBatch(const std::vector<EvalRequest> &requests)
             runGroup(groups[i], nullptr);
         });
     }
+    std::unordered_map<std::string, std::exception_ptr> failures;
+    for (const Group &group : groups) {
+        if (group.failure) {
+            for (const std::string &rkey : group.rkeys)
+                failures.emplace(rkey, group.failure);
+        }
+    }
 
-    // --- assemble: through THE entry point, so ordering, fault
-    // isolation, and response shape are exactly evaluate()'s; every
-    // seeded cell is a result-cache hit. ---
-    std::vector<EvalResponse> responses;
-    responses.reserve(requests.size());
-    for (const EvalRequest &request : requests)
-        responses.push_back(evaluate(request));
+    // --- assemble in request order: strict rethrows the first
+    // failed cell, isolated degrades each failed cell to a CellError
+    // (plus a reproducer when configured) and keeps a default
+    // SimResult in its place. ---
+    std::vector<EvalResponse> responses(requests.size());
+    for (std::size_t r = 0; r < requests.size(); ++r)
+        responses[r].requestDigest = requests[r].requestDigest();
+    for (const Row &row : rows) {
+        const EvalRequest &request = requests[row.requestIndex];
+        BenchmarkResult result;
+        result.name = row.workload->name;
+        for (const Cell &cell : row.cells) {
+            SimResult sim;
+            auto failure = failures.find(cell.rkey);
+            if (failure == failures.end()) {
+                std::lock_guard<std::mutex> lock(mutex_);
+                sim = results_.at(cell.rkey);
+            } else if (!policy_.isolateFaults) {
+                std::rethrow_exception(failure->second);
+            } else {
+                result.errors.push_back(cellError(
+                    *row.workload, request, cell.model, cell.baseline,
+                    row.input, failure->second,
+                    policy_.reproducerDir));
+            }
+            if (cell.baseline) {
+                result.baseCycles = sim.cycles;
+            } else {
+                result.models[cell.model] = std::move(sim);
+                result.provenance[cell.model] = cellProvenance(
+                    *row.workload, request, cell.model, request.sim);
+            }
+        }
+        responses[row.requestIndex].results.push_back(
+            std::move(result));
+    }
     return responses;
 }
 
@@ -790,10 +718,6 @@ SuiteEvaluator::timing() const
         threadedRecords_.load(std::memory_order_relaxed);
     timing.interpRecords =
         interpRecords_.load(std::memory_order_relaxed);
-    timing.backendFallbacks =
-        backendFallbacks_.load(std::memory_order_relaxed);
-    timing.batchFallbacks =
-        batchFallbacks_.load(std::memory_order_relaxed);
     if (store_ != nullptr) {
         timing.storeHits = store_->hits();
         timing.storeMisses = store_->misses();

@@ -24,13 +24,14 @@
  * so the three models of a cell only pay for their model-specific
  * pass suffixes.
  *
- * Evaluation fans out over a ThreadPool — across the workloads of an
- * EvalRequest and across model cells inside each workload row — with
- * results assembled by index, so output is deterministic and
- * identical for every thread count. evaluate(const EvalRequest&) is
- * the single entry point; evaluateBatch() amortizes many requests by
- * grouping their cells by trace key and pricing each trace's configs
- * in one replayBatch() pass.
+ * Pricing has one path, evaluateBatch(): plan every cell of every
+ * request (result-cache and certified-record hits drop out here),
+ * group the rest by trace key, price each group with one
+ * replayBatch() pass on the ThreadPool, and assemble the responses
+ * in request order — so output is deterministic and identical for
+ * every thread count. evaluate() is evaluateBatch() of one request.
+ * Nothing is retried: a failing group fails exactly its own cells,
+ * which the EvalPolicy then rethrows or isolates.
  */
 
 #ifndef PREDILP_DRIVER_EVALUATOR_HH
@@ -88,10 +89,6 @@ struct BenchTiming
     std::uint64_t decodedBytes = 0; ///< resident decoded-program bytes.
     std::uint64_t threadedRecords = 0; ///< records emulated threaded.
     std::uint64_t interpRecords = 0; ///< records emulated interpreted.
-    /// Threaded captures retried on the interpreter oracle.
-    std::uint64_t backendFallbacks = 0;
-    /// Batch groups that fell back to sequential recompute.
-    std::uint64_t batchFallbacks = 0;
 };
 
 /**
@@ -142,31 +139,31 @@ class SuiteEvaluator
     const EvalPolicy &policy() const { return policy_; }
 
     /**
-     * THE evaluation entry point: run @p request's workloads (empty
-     * = whole suite) under its models (empty = all three), each cell
-     * at the request's full SimConfig plus the 1-issue Superblock
-     * baseline denominator. Workloads and cells fan out over the
-     * pool; results are assembled by index in request order, so the
-     * response is deterministic for every thread count. Unknown
-     * workload names throw FatalError (requests are user input).
+     * Evaluate one request: evaluateBatch({request}).front(). Runs
+     * @p request's workloads (empty = whole suite) under its models
+     * (empty = all three), each cell at the request's full SimConfig
+     * plus the 1-issue Superblock baseline denominator.
      */
     EvalResponse evaluate(const EvalRequest &request);
 
     /**
-     * Batched evaluation of many requests: plan every cell up front,
-     * group the pending work by trace key — trace keys are
-     * machine-only by design, so cells that vary only cache/BTB/
-     * predictor axes share a group, as do the 1-issue baseline
-     * denominators of a whole sweep — then dispatch trace-major
-     * replayBatch() passes across the pool. Each captured trace is
-     * loaded and walked once for *all* of its pending configs
-     * instead of once per cell. The priced results seed the result
-     * cache and responses are assembled through evaluate(), so the
-     * output is bit-identical to calling evaluate() per request,
-     * index-aligned with @p requests. A group that fails during the
-     * batch phase is left unseeded; the assembly pass recomputes it
-     * and applies the failure policy exactly as the unbatched path
-     * would.
+     * The one pricing path, index-aligned with @p requests:
+     *  - plan: resolve every workload name (unknown names throw
+     *    FatalError before any compile), then walk each row's cells,
+     *    baseline first. A cell whose result key is already priced
+     *    (by an earlier call or an earlier cell of this one) counts
+     *    a result-cache hit; one served by its certified record
+     *    costs no trace; every other cell joins its trace-key group.
+     *    Trace keys are machine-only, so cells that vary only
+     *    cache/BTB/predictor axes share a group, as do the 1-issue
+     *    baselines of a whole sweep.
+     *  - price: one replayBatch() pass per group across the pool, so
+     *    each trace is loaded and walked once for all its configs.
+     *    A group that throws fails its own cells; nothing retries.
+     *  - assemble in request order: the strict policy rethrows the
+     *    first failed cell's exception; the isolated policy turns
+     *    each failed cell into a CellError (its SimResult stays
+     *    default) and completes the rest.
      */
     std::vector<EvalResponse>
     evaluateBatch(const std::vector<EvalRequest> &requests);
@@ -232,25 +229,6 @@ class SuiteEvaluator
                       const std::string &key);
     RunResult referenceFor(const Workload &workload,
                            const std::string &input, int scale);
-    SimResult cellResult(const Workload &workload,
-                         const EvalRequest &request, Model model,
-                         const MachineConfig &machine,
-                         const SimConfig &sim,
-                         const std::string &input);
-
-    /**
-     * Publish a batch-priced result under @p rkey as an
-     * already-ready cache entry; a no-op when the key is present
-     * (another thread computed or seeded it first).
-     */
-    void seedResult(const std::string &rkey, SimResult result);
-
-    /**
-     * One workload's row of @p request: the baseline denominator
-     * cell plus one cell per model, fanned out over the pool.
-     */
-    BenchmarkResult evaluateCells(const Workload &workload,
-                                  const EvalRequest &request);
 
     EvalPolicy policy_;
     std::unique_ptr<ArtifactStore> store_;
@@ -260,8 +238,12 @@ class SuiteEvaluator
         traces_;
     std::unordered_map<std::string, std::shared_future<RunResult>>
         references_;
-    std::unordered_map<std::string, std::shared_future<SimResult>>
-        results_;
+    /**
+     * Priced cells by result key. A plain map, not a cachedCompute
+     * cache: one evaluateBatch call prices each key in exactly one
+     * trace group, so there is no concurrent owner to wait on.
+     */
+    std::unordered_map<std::string, SimResult> results_;
     std::unordered_map<std::string, std::shared_future<SnapshotPtr>>
         snapshots_;
     std::unordered_map<std::string, std::shared_future<DecodedPtr>>
@@ -289,8 +271,6 @@ class SuiteEvaluator
     std::atomic<std::uint64_t> decodedBytes_{0};
     std::atomic<std::uint64_t> threadedRecords_{0};
     std::atomic<std::uint64_t> interpRecords_{0};
-    std::atomic<std::uint64_t> backendFallbacks_{0};
-    std::atomic<std::uint64_t> batchFallbacks_{0};
 
     /** Merged per-compile pass stats (internally synchronized). */
     StatsRegistry compileStats_;

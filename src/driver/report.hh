@@ -49,7 +49,7 @@ struct BenchmarkResult
     /**
      * Per-model cell provenance: the digests backing this cell's
      * certified record and predilp_diff's evidence. Filled by
-     * SuiteEvaluator alongside `models` (absent for failed cells).
+     * SuiteEvaluator alongside `models`, failed cells included.
      */
     std::map<Model, CellProvenance> provenance;
     /** Failed cells (empty unless fault isolation caught any). */
@@ -92,18 +92,6 @@ struct SuiteConfig
      */
     int threads = 0;
 };
-
-/**
- * Evaluate one workload under one suite configuration.
- * Convenience wrapper over SuiteEvaluator (driver/evaluator.hh);
- * construct an evaluator directly to share the compile+trace cache
- * across several configurations.
- */
-BenchmarkResult evaluateWorkload(const Workload &workload,
-                                 const SuiteConfig &config);
-
-/** Evaluate the whole suite. Wrapper over SuiteEvaluator. */
-std::vector<BenchmarkResult> evaluateSuite(const SuiteConfig &config);
 
 /**
  * Print a figure-style speedup table (Figures 8-11): one row per

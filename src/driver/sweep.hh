@@ -109,10 +109,9 @@ struct SweepOutcome
 /**
  * Price every cell of @p spec in-process and write the consolidated
  * report to @p outPath ("" skips the file). Arms PREDILP_FAULTS
- * (once per process) first. The evaluator runs its strict policy: a
- * failure that its batch fallback (one sequential recompute of the
- * failed trace group) does not heal propagates as its typed
- * exception, and no report is written.
+ * (once per process) first. The evaluator runs its strict policy and
+ * retries nothing: the first failed cell's exception propagates as
+ * its typed error, and no report is written.
  */
 SweepOutcome runSweep(const SweepSpec &spec,
                       const std::string &outPath = "");

@@ -664,12 +664,22 @@ class Interp
 } // namespace
 
 EmuBackend
+parseEmuBackend(const std::string &value)
+{
+    if (value.empty() || value == "threaded")
+        return EmuBackend::Threaded;
+    if (value == "interp")
+        return EmuBackend::Interp;
+    throw FatalError("invalid PREDILP_EMU value '" + value +
+                     "' (accepted: threaded, interp; unset or empty "
+                     "means threaded)");
+}
+
+EmuBackend
 defaultEmuBackend()
 {
     static const EmuBackend cached =
-        EnvConfig::fromEnvironment().emuBackend == "interp"
-            ? EmuBackend::Interp
-            : EmuBackend::Threaded;
+        parseEmuBackend(EnvConfig::fromEnvironment().emuBackend);
     return cached;
 }
 

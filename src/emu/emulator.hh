@@ -78,8 +78,15 @@ enum class EmuBackend : std::uint8_t
 };
 
 /**
- * Process-wide default backend: Threaded, unless the PREDILP_EMU
- * environment variable says "interp". Read once and cached.
+ * The backend a PREDILP_EMU value selects: unset or empty and
+ * "threaded" mean Threaded, "interp" means Interp. Any other value
+ * throws FatalError listing the accepted ones.
+ */
+EmuBackend parseEmuBackend(const std::string &value);
+
+/**
+ * Process-wide default backend: parseEmuBackend() of PREDILP_EMU,
+ * read once and cached (an invalid value throws on every call).
  */
 EmuBackend defaultEmuBackend();
 

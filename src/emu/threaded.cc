@@ -24,7 +24,6 @@
 
 #include "emu/decoded.hh"
 #include "support/diag.hh"
-#include "support/faultpoint.hh"
 #include "support/logging.hh"
 
 #if defined(__GNUC__) || defined(__clang__)
@@ -970,9 +969,6 @@ std::unique_ptr<TraceBuffer>
 captureDecoded(const DecodedProgram &dp, const std::string &input,
                std::uint64_t maxDynInstrs)
 {
-    // Cold entry (once per capture, never per record): a trap here
-    // exercises the evaluator's interpreter-oracle fallback.
-    FAULT_POINT("emu.threaded.capture");
     auto buffer =
         std::make_unique<TraceBuffer>(StaticIndex(dp.regBounds()));
     Engine<true> engine(dp, input, maxDynInstrs, nullptr,

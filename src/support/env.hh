@@ -17,9 +17,12 @@
  *   PREDILP_THREADS     worker-thread override for auto-sized
  *                       ThreadPools; <= 0 or unparsable values are
  *                       warned about and ignored.
- *   PREDILP_EMU         emulator backend: "interp" forces the
- *                       switch-dispatch interpreter; default is the
- *                       pre-decoded threaded engine.
+ *   PREDILP_EMU         emulator backend: "threaded" (default;
+ *                       also unset/empty) = pre-decoded threaded
+ *                       engine, "interp" = switch-dispatch
+ *                       interpreter. Read raw here;
+ *                       defaultEmuBackend() throws FatalError on
+ *                       any other value.
  *   PREDILP_FAULTS      deterministic fault-injection spec (see
  *                       support/faultpoint.hh for the grammar);
  *                       unset/empty = no fault points armed.

@@ -345,10 +345,8 @@ knownPoints()
         "store.publish.result",  // certified result record publish
         "store.load.mmap",       // mapping an artifact for replay
         "store.load.validate",   // byte-level artifact validation
-        "emu.threaded.capture",  // threaded-backend capture entry
         "eval.compile",          // model compilation in traceFor
-        "eval.replay",           // single-config replay in cellResult
-        "eval.replay.batch",     // batched replay pass in a group
+        "eval.replay.batch",     // replay pass of one trace group
     };
     return points;
 }

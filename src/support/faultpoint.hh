@@ -30,7 +30,7 @@
  *
  * Example:
  *   PREDILP_FAULTS='store.publish.rename=once:crash,
- *                   eval.replay=nth:3'
+ *                   eval.replay.batch=nth:3'
  *
  * Hit and fire counters are process-local atomics, reset on every
  * arm: "once" means once per process, so a run that hit an armed
@@ -63,7 +63,7 @@ namespace predilp
 /**
  * The failure a fired fault point injects when its action is
  * "throw". Derives from Error, so every recoverable-failure path
- * (cell isolation, batch fallback) treats it exactly like the
+ * (cell isolation, store quarantine) treats it exactly like the
  * organic failure it stands in for.
  */
 class FaultInjectedError : public Error

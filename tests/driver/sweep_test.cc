@@ -170,25 +170,16 @@ class ScopedFaults
     ScopedFaults &operator=(const ScopedFaults &) = delete;
 };
 
-TEST(Sweep, CompileFaultHealsOnceAndFailsLoudlyWhenPersistent)
+TEST(Sweep, CompileFaultFailsLoudlyAndDisarmedSweepIsClean)
 {
     SweepSpec spec = smallSpec();
     const std::string clean = runSweep(spec).cellsJson;
 
-    // A one-shot compile fault bites inside a batch group; the
-    // evaluator's batch fallback recomputes that group sequentially,
-    // so the sweep still prices the clean cells.
+    // Nothing retries a failed trace group, so even a one-shot
+    // compile fault propagates out of the strict evaluator as its
+    // typed error, naming the point...
     {
         ScopedFaults faults("eval.compile=once");
-        SweepOutcome healed = runSweep(spec);
-        EXPECT_EQ(healed.cellsJson, clean);
-        EXPECT_GE(healed.timing.batchFallbacks, 1u);
-    }
-
-    // A fault that also bites the recompute propagates out of the
-    // strict evaluator as its typed error, naming the point...
-    {
-        ScopedFaults faults("eval.compile=prob:1");
         try {
             runSweep(spec);
             ADD_FAILURE() << "expected FaultInjectedError";

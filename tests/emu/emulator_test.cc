@@ -26,6 +26,24 @@ runMain(Gen &&gen, const std::string &input = "")
     return emu.run(input);
 }
 
+TEST(Emulator, ParseEmuBackendAcceptsOnlyKnownValues)
+{
+    EXPECT_EQ(parseEmuBackend(""), EmuBackend::Threaded);
+    EXPECT_EQ(parseEmuBackend("threaded"), EmuBackend::Threaded);
+    EXPECT_EQ(parseEmuBackend("interp"), EmuBackend::Interp);
+    for (const char *bad : {"interpreter", "Threaded", "off", " "}) {
+        try {
+            parseEmuBackend(bad);
+            ADD_FAILURE() << "accepted '" << bad << "'";
+        } catch (const FatalError &e) {
+            const std::string message = e.what();
+            EXPECT_NE(message.find(bad), std::string::npos);
+            EXPECT_NE(message.find("threaded, interp"),
+                      std::string::npos);
+        }
+    }
+}
+
 TEST(Emulator, ArithmeticAndLogic)
 {
     RunResult r = runMain([](Program &, Function *fn, IRBuilder &b) {

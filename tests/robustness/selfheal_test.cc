@@ -1,12 +1,11 @@
 /**
- * @file
- * Evaluator degradation-ladder tests, driven by injected faults: a
- * threaded-capture trap retries on the interpreter oracle, a failed
- * batch group falls back to sequential recompute, an artifact that
- * fails validation is quarantined and recomputed (including two
- * processes racing on the same corrupted artifact), and every rung
- * reproduces the clean run's results bit-identically. Plus the
- * classifyException taxonomy for non-predilp exceptions.
+ * Failure-handling tests, driven by injected faults: a failed trace
+ * group degrades exactly its own cells (isolated policy) or throws
+ * naming the point (strict policy); an artifact that fails
+ * validation is quarantined and recomputed (including two processes
+ * racing on the same corrupted artifact), reproducing the clean
+ * run's results bit-identically. Plus the classifyException taxonomy
+ * for non-predilp exceptions.
  */
 
 #include <gtest/gtest.h>
@@ -121,39 +120,49 @@ corruptEveryArtifact(const std::string &dir)
     ASSERT_GT(corrupted, 0u) << "no artifacts under " << dir;
 }
 
-TEST_F(SelfHeal, ThreadedCaptureTrapFallsBackToInterpreter)
-{
-    if (defaultEmuBackend() != EmuBackend::Threaded)
-        GTEST_SKIP() << "interp backend has no fallback rung";
-    EvalRequest request = cmpRequest();
-    SuiteEvaluator clean(2);
-    const std::string expected = fingerprint(clean.evaluate(request));
-
-    faultpoints::armFromSpec("emu.threaded.capture=once");
-    SuiteEvaluator healed(2);
-    EXPECT_EQ(fingerprint(healed.evaluate(request)), expected);
-    BenchTiming timing = healed.timing();
-    EXPECT_EQ(timing.backendFallbacks, 1u);
-    // The fallback capture ran on the interpreter.
-    EXPECT_GT(timing.interpRecords, 0u);
-}
-
-TEST_F(SelfHeal, FailedBatchGroupRecomputesSequentially)
+TEST_F(SelfHeal, FailedBatchGroupDegradesOnlyItsCells)
 {
     EvalRequest a = cmpRequest();
     EvalRequest b = cmpRequest();
     b.sim.machine.issueWidth = 4;
-    SuiteEvaluator clean(2);
-    const std::string expectedA = fingerprint(clean.evaluate(a));
-    const std::string expectedB = fingerprint(clean.evaluate(b));
+    SuiteEvaluator clean(1);
+    const std::vector<EvalResponse> expected =
+        clean.evaluateBatch({a, b});
 
+    // One thread prices the groups in plan order, so the one-shot
+    // fault fails the first group: the 1-issue baseline that a and b
+    // share. Isolated, that is one CellError per response, a zero
+    // baseline, and every model cell equal to the clean run.
     faultpoints::armFromSpec("eval.replay.batch=once");
-    SuiteEvaluator healed(2);
-    std::vector<EvalResponse> responses = healed.evaluateBatch({a, b});
+    SuiteEvaluator isolated(1);
+    EvalPolicy policy;
+    policy.isolateFaults = true;
+    isolated.setPolicy(policy);
+    const std::vector<EvalResponse> responses =
+        isolated.evaluateBatch({a, b});
     ASSERT_EQ(responses.size(), 2u);
-    EXPECT_EQ(fingerprint(responses[0]), expectedA);
-    EXPECT_EQ(fingerprint(responses[1]), expectedB);
-    EXPECT_GE(healed.timing().batchFallbacks, 1u);
+    for (std::size_t i = 0; i < responses.size(); ++i) {
+        SCOPED_TRACE(i);
+        ASSERT_EQ(responses[i].results.size(), 1u);
+        const std::vector<CellError> &errors =
+            responses[i].results[0].errors;
+        ASSERT_EQ(errors.size(), 1u);
+        EXPECT_EQ(errors[0].kind, "FaultInjectedError");
+        EXPECT_TRUE(errors[0].baseline);
+        EvalResponse want = expected[i];
+        want.results.at(0).baseCycles = 0;
+        EXPECT_EQ(fingerprint(responses[i]), fingerprint(want));
+    }
+
+    // Strict, the same spec throws, naming the point.
+    faultpoints::armFromSpec("eval.replay.batch=once");
+    SuiteEvaluator strict(1);
+    try {
+        strict.evaluateBatch({a, b});
+        ADD_FAILURE() << "expected FaultInjectedError";
+    } catch (const FaultInjectedError &e) {
+        EXPECT_EQ(e.point(), "eval.replay.batch");
+    }
 }
 
 TEST_F(SelfHeal, IsolatedCellRecordsInjectedFaultKind)
