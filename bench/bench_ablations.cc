@@ -54,8 +54,8 @@ meanSpeedup(SuiteEvaluator &evaluator, const std::string &rowName,
 
 } // namespace
 
-int
-main()
+static int
+run()
 {
     WallTimer wall;
     SuiteConfig base;
@@ -117,4 +117,10 @@ main()
                    evaluator.threadCount(),
                    evaluator.compileStats());
     return 0;
+}
+
+int
+main()
+{
+    return predilp::benchMain("bench_ablations", run);
 }

@@ -16,6 +16,7 @@
 #include <fstream>
 #include <iostream>
 
+#include "driver/bench_io.hh"
 #include "driver/pipeline.hh"
 #include "emu/decoded.hh"
 #include "sched/machine.hh"
@@ -60,8 +61,8 @@ checkIdentical(const predilp::TraceBuffer &a,
 
 } // namespace
 
-int
-main()
+static int
+run()
 {
     using namespace predilp;
     WallTimer wall;
@@ -139,4 +140,10 @@ main()
     os << "{\n  \"bench\": \"capture_hot\",\n  \"timing\": "
        << s.toJson(2) << "\n}\n";
     return 0;
+}
+
+int
+main()
+{
+    return predilp::benchMain("bench_capture_hot", run);
 }

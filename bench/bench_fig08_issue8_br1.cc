@@ -9,8 +9,8 @@
 
 #include "driver/bench_io.hh"
 
-int
-main()
+static int
+run()
 {
     using namespace predilp;
     WallTimer wall;
@@ -29,4 +29,10 @@ main()
                    wall.seconds(), evaluator.threadCount(),
                    evaluator.compileStats());
     return 0;
+}
+
+int
+main()
+{
+    return predilp::benchMain("bench_fig08_issue8_br1", run);
 }

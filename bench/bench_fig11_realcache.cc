@@ -11,8 +11,8 @@
 
 #include "driver/bench_io.hh"
 
-int
-main()
+static int
+run()
 {
     using namespace predilp;
     WallTimer wall;
@@ -32,4 +32,10 @@ main()
                    wall.seconds(), evaluator.threadCount(),
                    evaluator.compileStats());
     return 0;
+}
+
+int
+main()
+{
+    return predilp::benchMain("bench_fig11_realcache", run);
 }

@@ -19,8 +19,8 @@
 
 #include "driver/bench_io.hh"
 
-int
-main()
+static int
+run()
 {
     using namespace predilp;
     WallTimer wall;
@@ -89,4 +89,10 @@ main()
                    evaluator.threadCount(),
                    evaluator.compileStats());
     return 0;
+}
+
+int
+main()
+{
+    return predilp::benchMain("bench_figures_all", run);
 }

@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "driver/bench_io.hh"
 #include "driver/pipeline.hh"
 #include "sched/machine.hh"
 #include "support/logging.hh"
@@ -29,8 +30,8 @@
 #include "trace/replay.hh"
 #include "workloads/workloads.hh"
 
-int
-main()
+static int
+run()
 {
     using namespace predilp;
     WallTimer wall;
@@ -175,4 +176,10 @@ main()
     os << "{\n  \"bench\": \"replay_batch\",\n  \"timing\": "
        << s.toJson(2) << "\n}\n";
     return 0;
+}
+
+int
+main()
+{
+    return predilp::benchMain("bench_replay_batch", run);
 }

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <iostream>
 
+#include "driver/bench_io.hh"
 #include "driver/pipeline.hh"
 #include "sched/machine.hh"
 #include "support/logging.hh"
@@ -20,8 +21,8 @@
 #include "trace/replay.hh"
 #include "workloads/workloads.hh"
 
-int
-main()
+static int
+run()
 {
     using namespace predilp;
     WallTimer wall;
@@ -86,4 +87,10 @@ main()
     os << "{\n  \"bench\": \"replay_hot\",\n  \"timing\": "
        << s.toJson(2) << "\n}\n";
     return 0;
+}
+
+int
+main()
+{
+    return predilp::benchMain("bench_replay_hot", run);
 }

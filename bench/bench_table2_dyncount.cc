@@ -11,8 +11,8 @@
 
 #include "driver/bench_io.hh"
 
-int
-main()
+static int
+run()
 {
     using namespace predilp;
     WallTimer wall;
@@ -31,4 +31,10 @@ main()
                    wall.seconds(), evaluator.threadCount(),
                    evaluator.compileStats());
     return 0;
+}
+
+int
+main()
+{
+    return predilp::benchMain("bench_table2_dyncount", run);
 }

@@ -1,12 +1,24 @@
 #include "driver/bench_io.hh"
 
 #include <fstream>
+#include <iostream>
 
 #include "support/logging.hh"
 #include "support/string_utils.hh"
 
 namespace predilp
 {
+
+int
+benchMain(const char *binary, const std::function<int()> &body)
+{
+    try {
+        return body();
+    } catch (const std::exception &e) {
+        std::cerr << binary << ": " << e.what() << "\n";
+        return 1;
+    }
+}
 
 StatsSnapshot
 timingSnapshot(const BenchTiming &timing, double wallSeconds,

@@ -9,6 +9,7 @@
 #ifndef PREDILP_DRIVER_BENCH_IO_HH
 #define PREDILP_DRIVER_BENCH_IO_HH
 
+#include <functional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -18,6 +19,13 @@
 
 namespace predilp
 {
+
+/**
+ * A bench or tool binary's main(): run @p body and return its status.
+ * An exception escaping it (an invalid PREDILP_* value, a failed
+ * cell) prints "<binary>: <message>" to stderr and returns 1.
+ */
+int benchMain(const char *binary, const std::function<int()> &body);
 
 /** Print compile/emulate/simulate phase totals and cache counters. */
 void printPhaseTiming(std::ostream &os, const BenchTiming &timing,

@@ -62,6 +62,17 @@ class Reg
         return idx_ < other.idx_;
     }
 
+    /**
+     * @return class and index packed into one word; equal words name
+     * the same register (the invalid register included).
+     */
+    std::uint64_t
+    packed() const
+    {
+        return static_cast<std::uint64_t>(cls_) << 32 |
+               static_cast<std::uint32_t>(idx_);
+    }
+
     /** Render as r7 / f3 / p12, or "-" when invalid. */
     std::string toString() const;
 

@@ -157,7 +157,7 @@ class CoalescePass : public FunctionPass
 
 } // namespace
 
-std::unique_ptr<Pass>
+std::unique_ptr<FunctionPass>
 createCoalescePass()
 {
     return std::make_unique<CoalescePass>();

@@ -224,7 +224,7 @@ class ConstantFoldPass : public FunctionPass
 
 } // namespace
 
-std::unique_ptr<Pass>
+std::unique_ptr<FunctionPass>
 createConstantFoldPass()
 {
     return std::make_unique<ConstantFoldPass>();

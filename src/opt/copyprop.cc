@@ -112,7 +112,7 @@ class CopyPropagatePass : public FunctionPass
 
 } // namespace
 
-std::unique_ptr<Pass>
+std::unique_ptr<FunctionPass>
 createCopyPropagatePass()
 {
     return std::make_unique<CopyPropagatePass>();

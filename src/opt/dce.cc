@@ -113,7 +113,7 @@ class DCEPass : public FunctionPass
 
 } // namespace
 
-std::unique_ptr<Pass>
+std::unique_ptr<FunctionPass>
 createDCEPass()
 {
     return std::make_unique<DCEPass>();

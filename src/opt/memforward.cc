@@ -125,7 +125,7 @@ class MemoryForwardPass : public FunctionPass
 
 } // namespace
 
-std::unique_ptr<Pass>
+std::unique_ptr<FunctionPass>
 createMemoryForwardPass()
 {
     return std::make_unique<MemoryForwardPass>();

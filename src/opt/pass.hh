@@ -11,11 +11,12 @@
  * (e.g. `opt.cse.removed`) through PassContext::stats.
  *
  * Scalar passes that iterate to a fixpoint are grouped with
- * addFixpoint(): the group reruns while any member reports changes,
- * up to an iteration cap. Because every member is function-local and
- * idempotent once a function reaches its fixpoint, this yields the
- * same final IR as the classic per-function
- * optimize-to-fixpoint loop it replaces.
+ * addFixpoint(). The group runs in rounds over an active set of
+ * functions: a function leaves the set once a round leaves its IR
+ * exactly unchanged (or its members report no changes), up to an
+ * iteration cap. Every member is a function-local, deterministic
+ * FunctionPass, so a function at rest would repeat its last round
+ * forever, and stopping it yields the IR the capped loop yields.
  */
 
 #ifndef PREDILP_OPT_PASS_HH
@@ -124,12 +125,24 @@ class FunctionPass : public Pass
                                         PassContext &ctx) = 0;
 };
 
+/** Iteration cap of a fixpoint group (see addFixpoint). */
+constexpr int defaultFixpointCap = 10;
+
 /**
- * Wrap a count-returning free function as a FunctionPass:
- *   makeFunctionPass("opt.fold", constantFold)
+ * Run @p group to a fixpoint over @p fns in rounds: each round runs
+ * every member, behind the instrumentation seam of runInstrumented,
+ * over the functions still active. A function leaves the active set
+ * when the round leaves its exact encoding (registers, ids, layout,
+ * blocks, every instruction field) unchanged or its members report
+ * no changes; the loop ends when the set is empty or after
+ * @p maxIters rounds. Records <groupName>.iterations (rounds run).
+ * @p prog, when non-null, is passed to the post-member verifier.
  */
-std::unique_ptr<Pass> makeFunctionPass(std::string name,
-                                       int (*fn)(Function &));
+PassResult
+runFixpoint(const std::string &groupName,
+            std::vector<std::unique_ptr<FunctionPass>> &group,
+            const std::vector<Function *> &fns, const Program *prog,
+            PassContext &ctx, int maxIters = defaultFixpointCap);
 
 /**
  * Runs a declarative list of passes in order, wrapping every
@@ -140,7 +153,8 @@ std::unique_ptr<Pass> makeFunctionPass(std::string name,
  *   P.changes        total rewrites reported
  *   P.changed_runs   invocations that changed anything
  *   P.instrs_removed / P.instrs_added   program-size delta
- * Fixpoint groups additionally record <group>.iterations.
+ * Fixpoint groups additionally record <group>.iterations; each of
+ * their rounds is one run of every member.
  */
 class PassManager
 {
@@ -151,20 +165,27 @@ class PassManager
     void add(std::unique_ptr<Pass> pass);
 
     /**
-     * Append a group of passes iterated to a fixpoint: the group
-     * reruns while any member reports changes, up to @p maxIters
-     * iterations. @p groupName scopes the group's own counters
+     * Append a group of function passes iterated to a per-function
+     * fixpoint by runFixpoint, up to @p maxIters rounds.
+     * @p groupName scopes the group's own counters
      * (<group>.iterations).
      */
     void addFixpoint(std::string groupName,
-                     std::vector<std::unique_ptr<Pass>> group,
-                     int maxIters = 10);
+                     std::vector<std::unique_ptr<FunctionPass>> group,
+                     int maxIters = defaultFixpointCap);
 
     /** Top-level pass names, in execution order. */
     std::vector<std::string> passNames() const;
 
     /** Run every pass on @p prog. @return aggregate changes. */
     PassResult run(Program &prog, PassContext &ctx);
+
+    /**
+     * Run only the pass at @p index in passNames() order, as run()
+     * would — for drivers that inspect the IR between passes.
+     */
+    PassResult runPass(std::size_t index, Program &prog,
+                       PassContext &ctx);
 
   private:
     std::vector<std::unique_ptr<Pass>> passes_;

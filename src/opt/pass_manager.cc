@@ -1,21 +1,12 @@
 #include "opt/pass.hh"
 
+#include <bit>
+
 #include "ir/verifier.hh"
 #include "support/logging.hh"
 
 namespace predilp
 {
-
-std::uint64_t
-programInstrCount(const Program &prog)
-{
-    std::uint64_t count = 0;
-    for (const auto &fn : prog.functions()) {
-        for (BlockId id : fn->layout())
-            count += fn->block(id)->instrs().size();
-    }
-    return count;
-}
 
 PassResult
 FunctionPass::run(Program &prog, PassContext &ctx)
@@ -26,21 +17,45 @@ FunctionPass::run(Program &prog, PassContext &ctx)
     return result;
 }
 
-PassResult
-runInstrumented(Pass &pass, Program &prog, PassContext &ctx)
+namespace
 {
-    const std::string scope = pass.name();
-    const std::uint64_t before = programInstrCount(prog);
+
+/** Instructions in the laid-out blocks of @p fns (any pointer kind). */
+template <typename Functions>
+std::uint64_t
+instrCount(const Functions &fns)
+{
+    std::uint64_t count = 0;
+    for (const auto &fn : fns) {
+        for (BlockId id : fn->layout())
+            count += fn->block(id)->instrs().size();
+    }
+    return count;
+}
+
+/**
+ * The uniform instrumentation seam: run @p body as one invocation of
+ * the pass scoped @p scope, which may touch only @p fns, and record
+ * its time, change count and size delta (see PassManager).
+ */
+template <typename Body>
+PassResult
+recordRun(const std::string &scope, const std::vector<Function *> &fns,
+          const Program *prog, PassContext &ctx, Body &&body)
+{
+    const std::uint64_t before = instrCount(fns);
     PassResult result;
     {
         ScopedTimer timer(ctx.stats.timer(scope + ".seconds"));
-        result = pass.run(prog, ctx);
+        result = body();
     }
-    const std::uint64_t after = programInstrCount(prog);
+    const std::uint64_t after = instrCount(fns);
     if (ctx.verifyAfterEach) {
-        std::string err = verifyProgram(prog);
-        if (!err.empty())
-            throw VerifyError(scope, err);
+        for (const Function *fn : fns) {
+            std::string err = verifyFunction(*fn, prog);
+            if (!err.empty())
+                throw VerifyError(scope, err);
+        }
     }
     ctx.stats.counter(scope + ".runs").add();
     ctx.stats.counter(scope + ".changes").add(result.changes);
@@ -54,42 +69,92 @@ runInstrumented(Pass &pass, Program &prog, PassContext &ctx)
     return result;
 }
 
-namespace
+std::vector<Function *>
+allFunctions(Program &prog)
 {
+    std::vector<Function *> fns;
+    fns.reserve(prog.functions().size());
+    for (auto &fn : prog.functions())
+        fns.push_back(fn.get());
+    return fns;
+}
 
-/** makeFunctionPass adapter: name + count-returning free function. */
-class FreeFunctionPass : public FunctionPass
+std::int64_t
+encodeReg(Reg reg)
 {
-  public:
-    FreeFunctionPass(std::string name, int (*fn)(Function &))
-        : name_(std::move(name)), fn_(fn)
-    {}
-
-    std::string name() const override { return name_; }
-
-    std::uint64_t
-    runOnFunction(Function &fn, PassContext &) override
-    {
-        int changes = fn_(fn);
-        return changes > 0 ? static_cast<std::uint64_t>(changes) : 0;
-    }
-
-  private:
-    std::string name_;
-    int (*fn_)(Function &);
-};
+    return static_cast<std::int64_t>(reg.packed());
+}
 
 /**
- * A group of passes iterated to a fixpoint: rerun while any member
- * reports changes, up to the iteration cap. Members run behind the
- * same instrumentation seam as top-level passes, so their counters
- * accumulate per iteration.
+ * Append to @p out an exact encoding of everything a scalar pass
+ * reads or writes in @p fn: the register counters and id bounds, the
+ * layout, each laid-out block's kind, fallthrough and weight, and
+ * every field of every instruction (float immediates by bit
+ * pattern). Variable-length parts are length-prefixed, so equal
+ * encodings mean equal IR.
  */
+void
+encodeFunction(const Function &fn, std::vector<std::int64_t> &out)
+{
+    out.push_back(fn.numIntRegs());
+    out.push_back(fn.numFloatRegs());
+    out.push_back(fn.numPredRegs());
+    out.push_back(fn.instrIdBound());
+    out.push_back(static_cast<std::int64_t>(fn.numBlockIds()));
+    out.push_back(static_cast<std::int64_t>(fn.layout().size()));
+    for (BlockId id : fn.layout()) {
+        const BasicBlock *bb = fn.block(id);
+        out.push_back(id);
+        out.push_back(static_cast<std::int64_t>(bb->kind()));
+        out.push_back(bb->fallthrough());
+        out.push_back(static_cast<std::int64_t>(bb->weight()));
+        out.push_back(static_cast<std::int64_t>(bb->instrs().size()));
+        for (const Instruction &instr : bb->instrs()) {
+            out.push_back(static_cast<std::int64_t>(instr.op()));
+            out.push_back(instr.id());
+            out.push_back(encodeReg(instr.dest()));
+            out.push_back(encodeReg(instr.guard()));
+            out.push_back(instr.target());
+            out.push_back(instr.speculative() ? 1 : 0);
+            out.push_back(instr.issueCycle());
+            out.push_back(
+                static_cast<std::int64_t>(instr.predDests().size()));
+            for (const PredDest &pd : instr.predDests()) {
+                out.push_back(encodeReg(pd.reg));
+                out.push_back(static_cast<std::int64_t>(pd.type));
+            }
+            out.push_back(
+                static_cast<std::int64_t>(instr.srcs().size()));
+            for (const Operand &src : instr.srcs()) {
+                out.push_back(static_cast<std::int64_t>(src.kind()));
+                switch (src.kind()) {
+                  case Operand::Kind::None:
+                    break;
+                  case Operand::Kind::Register:
+                    out.push_back(encodeReg(src.reg()));
+                    break;
+                  case Operand::Kind::Imm:
+                    out.push_back(src.immValue());
+                    break;
+                  case Operand::Kind::FImm:
+                    out.push_back(
+                        std::bit_cast<std::int64_t>(src.fimmValue()));
+                    break;
+                }
+            }
+            const std::string &callee = instr.callee();
+            out.push_back(static_cast<std::int64_t>(callee.size()));
+            out.insert(out.end(), callee.begin(), callee.end());
+        }
+    }
+}
+
+/** A PassManager entry running a group through runFixpoint. */
 class FixpointPass : public Pass
 {
   public:
     FixpointPass(std::string name,
-                 std::vector<std::unique_ptr<Pass>> group,
+                 std::vector<std::unique_ptr<FunctionPass>> group,
                  int maxIters)
         : name_(std::move(name)), group_(std::move(group)),
           maxIters_(maxIters)
@@ -100,33 +165,81 @@ class FixpointPass : public Pass
     PassResult
     run(Program &prog, PassContext &ctx) override
     {
-        PassResult total;
-        Counter &iterations =
-            ctx.stats.counter(name_ + ".iterations");
-        for (int iter = 0; iter < maxIters_; ++iter) {
-            iterations.add();
-            std::uint64_t changes = 0;
-            for (auto &pass : group_)
-                changes += runInstrumented(*pass, prog, ctx).changes;
-            total.changes += changes;
-            if (changes == 0)
-                break;
-        }
-        return total;
+        return runFixpoint(name_, group_, allFunctions(prog), &prog,
+                           ctx, maxIters_);
     }
 
   private:
     std::string name_;
-    std::vector<std::unique_ptr<Pass>> group_;
+    std::vector<std::unique_ptr<FunctionPass>> group_;
     int maxIters_;
 };
 
 } // namespace
 
-std::unique_ptr<Pass>
-makeFunctionPass(std::string name, int (*fn)(Function &))
+std::uint64_t
+programInstrCount(const Program &prog)
 {
-    return std::make_unique<FreeFunctionPass>(std::move(name), fn);
+    return instrCount(prog.functions());
+}
+
+PassResult
+runInstrumented(Pass &pass, Program &prog, PassContext &ctx)
+{
+    return recordRun(pass.name(), allFunctions(prog), &prog, ctx,
+                     [&] { return pass.run(prog, ctx); });
+}
+
+PassResult
+runFixpoint(const std::string &groupName,
+            std::vector<std::unique_ptr<FunctionPass>> &group,
+            const std::vector<Function *> &fns, const Program *prog,
+            PassContext &ctx, int maxIters)
+{
+    Counter &iterations = ctx.stats.counter(groupName + ".iterations");
+    std::vector<Function *> active = fns;
+    std::vector<std::vector<std::int64_t>> encodings(active.size());
+    for (std::size_t i = 0; i < active.size(); ++i)
+        encodeFunction(*active[i], encodings[i]);
+
+    PassResult total;
+    std::vector<std::uint64_t> changes;
+    std::vector<std::int64_t> after;
+    for (int iter = 0; iter < maxIters && !active.empty(); ++iter) {
+        iterations.add();
+        changes.assign(active.size(), 0);
+        for (auto &pass : group) {
+            total.changes +=
+                recordRun(pass->name(), active, prog, ctx, [&] {
+                    PassResult result;
+                    for (std::size_t i = 0; i < active.size(); ++i) {
+                        std::uint64_t n =
+                            pass->runOnFunction(*active[i], ctx);
+                        changes[i] += n;
+                        result.changes += n;
+                    }
+                    return result;
+                }).changes;
+        }
+
+        // A function at rest leaves the active set: its members
+        // reported nothing, or its encoding did not move.
+        std::size_t kept = 0;
+        for (std::size_t i = 0; i < active.size(); ++i) {
+            if (changes[i] == 0)
+                continue;
+            after.clear();
+            encodeFunction(*active[i], after);
+            if (after == encodings[i])
+                continue;
+            active[kept] = active[i];
+            encodings[kept].swap(after);
+            ++kept;
+        }
+        active.resize(kept);
+        encodings.resize(kept);
+    }
+    return total;
 }
 
 void
@@ -138,7 +251,7 @@ PassManager::add(std::unique_ptr<Pass> pass)
 
 void
 PassManager::addFixpoint(std::string groupName,
-                         std::vector<std::unique_ptr<Pass>> group,
+                         std::vector<std::unique_ptr<FunctionPass>> group,
                          int maxIters)
 {
     panicIf(group.empty(), "PassManager::addFixpoint: empty group");
@@ -162,9 +275,16 @@ PassResult
 PassManager::run(Program &prog, PassContext &ctx)
 {
     PassResult total;
-    for (auto &pass : passes_)
-        total.changes += runInstrumented(*pass, prog, ctx).changes;
+    for (std::size_t i = 0; i < passes_.size(); ++i)
+        total.changes += runPass(i, prog, ctx).changes;
     return total;
+}
+
+PassResult
+PassManager::runPass(std::size_t index, Program &prog, PassContext &ctx)
+{
+    panicIf(index >= passes_.size(), "PassManager::runPass: bad index");
+    return runInstrumented(*passes_[index], prog, ctx);
 }
 
 } // namespace predilp

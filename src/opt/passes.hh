@@ -19,25 +19,25 @@ namespace predilp
 {
 
 /** "opt.fold": constant folding. Counter: opt.fold.folded. */
-std::unique_ptr<Pass> createConstantFoldPass();
+std::unique_ptr<FunctionPass> createConstantFoldPass();
 
 /** "opt.copyprop": copy propagation. Counter: opt.copyprop.propagated. */
-std::unique_ptr<Pass> createCopyPropagatePass();
+std::unique_ptr<FunctionPass> createCopyPropagatePass();
 
 /** "opt.cse": local CSE. Counter: opt.cse.removed. */
-std::unique_ptr<Pass> createCSEPass();
+std::unique_ptr<FunctionPass> createCSEPass();
 
 /** "opt.memfwd": memory forwarding. Counter: opt.memfwd.forwarded. */
-std::unique_ptr<Pass> createMemoryForwardPass();
+std::unique_ptr<FunctionPass> createMemoryForwardPass();
 
 /** "opt.coalesce": copy coalescing. Counter: opt.coalesce.coalesced. */
-std::unique_ptr<Pass> createCoalescePass();
+std::unique_ptr<FunctionPass> createCoalescePass();
 
 /** "opt.dce": dead code elimination. Counter: opt.dce.removed. */
-std::unique_ptr<Pass> createDCEPass();
+std::unique_ptr<FunctionPass> createDCEPass();
 
 /** "opt.simplifycfg": CFG cleanup. Counter: opt.simplifycfg.simplified. */
-std::unique_ptr<Pass> createSimplifyCfgPass();
+std::unique_ptr<FunctionPass> createSimplifyCfgPass();
 
 /** "opt.inline": leaf inlining. Counter: opt.inline.sites. */
 std::unique_ptr<Pass>
@@ -65,13 +65,13 @@ std::unique_ptr<Pass> createLayoutPass();
  * DCE, simplifycfg) in canonical order, for
  * PassManager::addFixpoint("opt.scalar", scalarPassList()).
  */
-std::vector<std::unique_ptr<Pass>> scalarPassList();
+std::vector<std::unique_ptr<FunctionPass>> scalarPassList();
 
 /**
- * Convenience fixpoint of the scalar group on one function / one
- * program, without external instrumentation — the classic
- * optimize-to-quiescence entry point used by tests, examples, and
- * the reference (oracle) pipeline.
+ * The scalar group's fixpoint (runFixpoint, the same loop as
+ * addFixpoint) on one function / one program, with throwaway
+ * instrumentation — the optimize-to-quiescence entry point used by
+ * tests, examples, and the reference (oracle) pipeline.
  */
 void optimizeFunction(Function &fn);
 void optimizeProgram(Program &prog);

@@ -149,16 +149,16 @@ class SimplifyCfgPass : public FunctionPass
 
 } // namespace
 
-std::unique_ptr<Pass>
+std::unique_ptr<FunctionPass>
 createSimplifyCfgPass()
 {
     return std::make_unique<SimplifyCfgPass>();
 }
 
-std::vector<std::unique_ptr<Pass>>
+std::vector<std::unique_ptr<FunctionPass>>
 scalarPassList()
 {
-    std::vector<std::unique_ptr<Pass>> passes;
+    std::vector<std::unique_ptr<FunctionPass>> passes;
     passes.push_back(createConstantFoldPass());
     passes.push_back(createCopyPropagatePass());
     passes.push_back(createCSEPass());
@@ -169,28 +169,33 @@ scalarPassList()
     return passes;
 }
 
+namespace
+{
+
+void
+optimizeFunctions(const std::vector<Function *> &fns)
+{
+    std::vector<std::unique_ptr<FunctionPass>> group = scalarPassList();
+    StatsRegistry stats;
+    PassContext ctx(stats);
+    runFixpoint("opt.scalar", group, fns, nullptr, ctx);
+}
+
+} // namespace
+
 void
 optimizeFunction(Function &fn)
 {
-    for (int iter = 0; iter < 10; ++iter) {
-        int changes = 0;
-        changes += constantFold(fn);
-        changes += copyPropagate(fn);
-        changes += localCSE(fn);
-        changes += forwardMemory(fn);
-        changes += coalesceCopies(fn);
-        changes += deadCodeElim(fn);
-        changes += simplifyCfg(fn);
-        if (changes == 0)
-            break;
-    }
+    optimizeFunctions({&fn});
 }
 
 void
 optimizeProgram(Program &prog)
 {
+    std::vector<Function *> fns;
     for (auto &fn : prog.functions())
-        optimizeFunction(*fn);
+        fns.push_back(fn.get());
+    optimizeFunctions(fns);
 }
 
 } // namespace predilp

@@ -40,8 +40,10 @@ int copyPropagate(Function &fn);
 
 /**
  * Block-local common subexpression elimination over pure operations
- * and loads (loads are invalidated by stores and calls). Guarded
- * instructions participate only when guards match exactly.
+ * and loads (loads are invalidated by stores and calls). Expressions
+ * are keyed exactly (float immediates by bit pattern), and the key
+ * carries the guard; only unguarded results are recorded, so a
+ * guarded instruction is never replaced.
  * @return number of redundant computations replaced by moves.
  */
 int localCSE(Function &fn);

@@ -193,6 +193,103 @@ TEST(Cse, LoadsInvalidatedByStores)
     EXPECT_EQ(emu.run("").exitValue, 12);
 }
 
+TEST(Cse, FloatImmediatesCompareByValueNotByPrintedDigits)
+{
+    // 0.1234567 and 0.1234568 print alike at six significant digits
+    // but are different constants; only exact repeats merge.
+    Program prog;
+    Function *fn = prog.newFunction("main");
+    IRBuilder b(fn);
+    b.startBlock();
+    Reg a = fn->newIntReg();
+    Reg f = fn->newFloatReg();
+    Reg x = fn->newFloatReg();
+    Reg y = fn->newFloatReg();
+    Reg z = fn->newFloatReg();
+    b.getc(a);
+    b.emit(Opcode::CvtIf, f, Operand(a));
+    b.emit(Opcode::FAdd, x, Operand(f), Operand::fimm(0.1234567));
+    b.emit(Opcode::FAdd, y, Operand(f), Operand::fimm(0.1234568));
+    b.emit(Opcode::FAdd, z, Operand(f), Operand::fimm(0.1234567));
+    b.ret();
+    EXPECT_EQ(localCSE(*fn), 1);
+    const auto &instrs = fn->entry()->instrs();
+    EXPECT_EQ(instrs[3].op(), Opcode::FAdd); // y kept its own add.
+    EXPECT_EQ(instrs[4].op(), Opcode::FMov); // z copies x.
+    EXPECT_EQ(instrs[4].src(0), Operand(x));
+}
+
+TEST(Cse, RedefiningAGuardRegisterKillsItsEntries)
+{
+    Program prog;
+    Function *fn = prog.newFunction("main");
+    fn->setRetKind(RetKind::Int);
+    IRBuilder b(fn);
+    b.startBlock();
+    Reg a = fn->newIntReg();
+    Reg x = fn->newIntReg();
+    Reg g = fn->newIntReg();
+    Reg z = fn->newIntReg();
+    Reg s = fn->newIntReg();
+    Reg p = fn->newPredReg();
+    b.getc(a);
+    b.predDefine(Opcode::PredEq, PredDest{p, PredType::U}, Operand(a),
+                 Operand::imm(65));
+    b.emit(Opcode::Add, x, Operand(p), Operand::imm(10));
+    b.mov(g, Operand::imm(0));
+    b.mov(g, Operand::imm(1)).setGuard(p);
+    b.predDefine(Opcode::PredNe, PredDest{p, PredType::U}, Operand(a),
+                 Operand::imm(65));
+    b.emit(Opcode::Add, z, Operand(p), Operand::imm(10));
+    b.emit(Opcode::Add, s, Operand(x), Operand(z));
+    b.emit(Opcode::Add, s, Operand(s), Operand(g));
+    b.ret(Operand(s));
+    EXPECT_EQ(localCSE(*fn), 0);
+    EXPECT_EQ(countInstrs(*fn, [](const Instruction &i) {
+                  return i.op() == Opcode::Add;
+              }),
+              4);
+    Emulator emu(prog);
+    EXPECT_EQ(emu.run("A").exitValue, 11 + 10 + 1);
+}
+
+TEST(Cse, PredAllKillsEntriesMentioningAnyPredicate)
+{
+    Program prog;
+    Function *fn = prog.newFunction("main");
+    fn->setRetKind(RetKind::Int);
+    IRBuilder b(fn);
+    b.startBlock();
+    Reg a = fn->newIntReg();
+    Reg x = fn->newIntReg();
+    Reg w = fn->newIntReg();
+    Reg u = fn->newIntReg();
+    Reg x2 = fn->newIntReg();
+    Reg w2 = fn->newIntReg();
+    Reg u2 = fn->newIntReg();
+    Reg p = fn->newPredReg();
+    Reg q = fn->newPredReg();
+    b.getc(a);
+    b.predDefine2(Opcode::PredEq, PredDest{p, PredType::U},
+                  PredDest{q, PredType::UBar}, Operand(a),
+                  Operand::imm(65));
+    b.emit(Opcode::Add, x, Operand(p), Operand::imm(10));
+    b.emit(Opcode::Add, w, Operand(q), Operand::imm(20));
+    b.emit(Opcode::Add, u, Operand(a), Operand::imm(5));
+    b.predAll(Opcode::PredSet);
+    b.emit(Opcode::Add, x2, Operand(p), Operand::imm(10));
+    b.emit(Opcode::Add, w2, Operand(q), Operand::imm(20));
+    b.emit(Opcode::Add, u2, Operand(a), Operand::imm(5));
+    b.ret(Operand(x2));
+    // Only u2 merges: pred_set rewrote p and q, not a.
+    EXPECT_EQ(localCSE(*fn), 1);
+    const auto &instrs = fn->entry()->instrs();
+    EXPECT_EQ(instrs[6].op(), Opcode::Add);
+    EXPECT_EQ(instrs[7].op(), Opcode::Add);
+    EXPECT_EQ(instrs[8].op(), Opcode::Mov);
+    EXPECT_EQ(instrs[8].src(0), Operand(u));
+}
+
 TEST(Dce, RemovesDeadArithmetic)
 {
     Program prog;

@@ -1,7 +1,8 @@
 /**
  * @file
  * PassManager tests: deterministic execution order, fixpoint-group
- * rerun semantics (including the iteration cap), and the uniform
+ * rerun semantics (the iteration cap, the exact rest check, and
+ * per-function settling), and the uniform
  * instrumentation counters checked against hand-computed values on
  * both scripted passes and a real DCE run.
  */
@@ -9,12 +10,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "driver/pipeline.hh"
 #include "ir/builder.hh"
+#include "ir/printer.hh"
 #include "opt/pass.hh"
 #include "opt/passes.hh"
 #include "support/diag.hh"
@@ -26,7 +30,9 @@ namespace
 
 /**
  * Logs each invocation and reports a scripted change count per run
- * (0 once the script is exhausted). Never touches the program.
+ * (0 once the script is exhausted). Never touches the program, so it
+ * belongs at top level only: a fixpoint group stops a round that
+ * leaves the IR unchanged.
  */
 class ScriptedPass : public Pass
 {
@@ -58,6 +64,130 @@ class ScriptedPass : public Pass
     std::vector<std::string> *log_;
     std::size_t next_ = 0;
 };
+
+/**
+ * Fixpoint member with a scripted change count per run (0 once the
+ * script is exhausted). A run that reports changes really makes them:
+ * it allocates one integer register per change, so the IR moves.
+ * Logs "name:function" per invocation.
+ */
+class ScriptedFunctionPass : public FunctionPass
+{
+  public:
+    ScriptedFunctionPass(std::string name,
+                         std::vector<std::uint64_t> changesPerRun,
+                         std::vector<std::string> *log)
+        : name_(std::move(name)),
+          changesPerRun_(std::move(changesPerRun)), log_(log)
+    {}
+
+    std::string name() const override { return name_; }
+
+    std::uint64_t
+    runOnFunction(Function &fn, PassContext &) override
+    {
+        if (log_ != nullptr)
+            log_->push_back(name_ + ":" + fn.name());
+        std::uint64_t changes = 0;
+        if (next_ < changesPerRun_.size())
+            changes = changesPerRun_[next_];
+        next_ += 1;
+        for (std::uint64_t i = 0; i < changes; ++i)
+            fn.newIntReg();
+        return changes;
+    }
+
+  private:
+    std::string name_;
+    std::vector<std::uint64_t> changesPerRun_;
+    std::vector<std::string> *log_;
+    std::size_t next_ = 0;
+};
+
+/** Fixpoint member rewriting every `mov <from>` into `mov <to>`. */
+class RewriteImmPass : public FunctionPass
+{
+  public:
+    RewriteImmPass(std::string name, std::int64_t from,
+                   std::int64_t to, std::vector<std::string> *log)
+        : name_(std::move(name)), from_(from), to_(to), log_(log)
+    {}
+
+    std::string name() const override { return name_; }
+
+    std::uint64_t
+    runOnFunction(Function &fn, PassContext &) override
+    {
+        log_->push_back(name_ + ":" + fn.name());
+        std::uint64_t changes = 0;
+        for (BlockId id : fn.layout()) {
+            for (Instruction &instr : fn.block(id)->instrs()) {
+                if (instr.op() == Opcode::Mov &&
+                    instr.src(0) == Operand::imm(from_)) {
+                    instr.setSrc(0, Operand::imm(to_));
+                    changes += 1;
+                }
+            }
+        }
+        return changes;
+    }
+
+  private:
+    std::string name_;
+    std::int64_t from_;
+    std::int64_t to_;
+    std::vector<std::string> *log_;
+};
+
+/**
+ * Fixpoint member that changes each function a set number of times:
+ * one register allocation per run until the function's budget is
+ * spent.
+ */
+class BudgetPass : public FunctionPass
+{
+  public:
+    BudgetPass(std::string name, std::map<std::string, int> budget,
+               std::vector<std::string> *log)
+        : name_(std::move(name)), budget_(std::move(budget)), log_(log)
+    {}
+
+    std::string name() const override { return name_; }
+
+    std::uint64_t
+    runOnFunction(Function &fn, PassContext &) override
+    {
+        log_->push_back(name_ + ":" + fn.name());
+        int &left = budget_[fn.name()];
+        if (left == 0)
+            return 0;
+        left -= 1;
+        fn.newIntReg();
+        return 1;
+    }
+
+  private:
+    std::string name_;
+    std::map<std::string, int> budget_;
+    std::vector<std::string> *log_;
+};
+
+/** One function per name, each `r0 = mov 1; ret r0`. */
+std::unique_ptr<Program>
+makeMovProgram(const std::vector<std::string> &names)
+{
+    auto prog = std::make_unique<Program>();
+    for (const std::string &name : names) {
+        Function *fn = prog->newFunction(name);
+        fn->setRetKind(RetKind::Int);
+        IRBuilder b(fn);
+        b.startBlock();
+        Reg r = fn->newIntReg();
+        b.mov(r, Operand::imm(1));
+        b.ret(Operand(r));
+    }
+    return prog;
+}
 
 /** main() with two dead adds behind an opaque getc. */
 std::unique_ptr<Program>
@@ -104,26 +234,27 @@ TEST(PassManager, RunsPassesInDeclarationOrder)
 
 TEST(PassManager, FixpointRerunsWhileAnyMemberChanges)
 {
-    // Member 1 changes on its first two runs, member 2 never does:
-    // iteration 1 (2 changes) -> rerun, iteration 2 (1) -> rerun,
-    // iteration 3 (0) -> stop. Every member runs every iteration.
+    // Member 1 changes the function on its first two runs, member 2
+    // never does: iteration 1 (2 changes) -> rerun, iteration 2 (1)
+    // -> rerun, iteration 3 (0) -> stop. Every member runs every
+    // iteration.
     std::vector<std::string> log;
-    std::vector<std::unique_ptr<Pass>> group;
-    group.push_back(std::make_unique<ScriptedPass>(
+    std::vector<std::unique_ptr<FunctionPass>> group;
+    group.push_back(std::make_unique<ScriptedFunctionPass>(
         "test.x", std::vector<std::uint64_t>{2, 1}, &log));
-    group.push_back(std::make_unique<ScriptedPass>(
+    group.push_back(std::make_unique<ScriptedFunctionPass>(
         "test.y", std::vector<std::uint64_t>{}, &log));
     PassManager pm;
     pm.addFixpoint("test.group", std::move(group));
 
-    Program prog;
+    auto prog = makeMovProgram({"main"});
     StatsRegistry stats;
     PassContext ctx(stats);
-    pm.run(prog, ctx);
+    pm.run(*prog, ctx);
 
-    EXPECT_EQ(log, (std::vector<std::string>{"test.x", "test.y",
-                                             "test.x", "test.y",
-                                             "test.x", "test.y"}));
+    EXPECT_EQ(log, (std::vector<std::string>{
+                       "test.x:main", "test.y:main", "test.x:main",
+                       "test.y:main", "test.x:main", "test.y:main"}));
     StatsSnapshot snap = stats.snapshot();
     EXPECT_EQ(snap.counter("test.group.iterations"), 3u);
     EXPECT_EQ(snap.counter("test.x.runs"), 3u);
@@ -136,21 +267,86 @@ TEST(PassManager, FixpointRerunsWhileAnyMemberChanges)
 
 TEST(PassManager, FixpointHonorsIterationCap)
 {
-    std::vector<std::unique_ptr<Pass>> group;
-    group.push_back(std::make_unique<ScriptedPass>(
+    std::vector<std::unique_ptr<FunctionPass>> group;
+    group.push_back(std::make_unique<ScriptedFunctionPass>(
         "test.always",
         std::vector<std::uint64_t>(100, 1), nullptr));
     PassManager pm;
     pm.addFixpoint("test.cap", std::move(group), 4);
 
-    Program prog;
+    auto prog = makeMovProgram({"main"});
     StatsRegistry stats;
     PassContext ctx(stats);
-    pm.run(prog, ctx);
+    pm.run(*prog, ctx);
 
     StatsSnapshot snap = stats.snapshot();
     EXPECT_EQ(snap.counter("test.cap.iterations"), 4u);
     EXPECT_EQ(snap.counter("test.always.runs"), 4u);
+}
+
+TEST(PassManager, FixpointStopsWhenRoundLeavesIrUnchanged)
+{
+    // Two members that undo each other report changes forever, as
+    // copy propagation and CSE do on a copy chain; the round leaves
+    // the IR as it found it, so the group stops after one round.
+    std::vector<std::string> log;
+    std::vector<std::unique_ptr<FunctionPass>> group;
+    group.push_back(std::make_unique<RewriteImmPass>(
+        "test.up", 1, 2, &log));
+    group.push_back(std::make_unique<RewriteImmPass>(
+        "test.down", 2, 1, &log));
+    PassManager pm;
+    pm.addFixpoint("test.pingpong", std::move(group));
+
+    auto prog = makeMovProgram({"main"});
+    std::ostringstream before;
+    printProgram(before, *prog);
+    StatsRegistry stats;
+    PassContext ctx(stats);
+    PassResult result = pm.run(*prog, ctx);
+
+    EXPECT_EQ(log, (std::vector<std::string>{"test.up:main",
+                                             "test.down:main"}));
+    EXPECT_EQ(result.changes, 2u);
+    std::ostringstream after;
+    printProgram(after, *prog);
+    EXPECT_EQ(after.str(), before.str());
+    StatsSnapshot snap = stats.snapshot();
+    EXPECT_EQ(snap.counter("test.pingpong.iterations"), 1u);
+    EXPECT_EQ(snap.counter("test.up.runs"), 1u);
+    EXPECT_EQ(snap.counter("test.up.changes"), 1u);
+    EXPECT_EQ(snap.counter("test.down.changes"), 1u);
+}
+
+TEST(PassManager, FixpointSettlesFunctionsIndependently)
+{
+    // "a" changes in round 1 only, "b" in rounds 1-3. "a" leaves the
+    // active set after round 2 reports nothing for it; "b" runs on
+    // alone until its own quiet round 4.
+    std::vector<std::string> log;
+    std::vector<std::unique_ptr<FunctionPass>> group;
+    group.push_back(std::make_unique<BudgetPass>(
+        "test.settle",
+        std::map<std::string, int>{{"a", 1}, {"b", 3}}, &log));
+    PassManager pm;
+    pm.addFixpoint("test.settle_group", std::move(group));
+
+    auto prog = makeMovProgram({"a", "b"});
+    StatsRegistry stats;
+    PassContext ctx(stats);
+    PassResult result = pm.run(*prog, ctx);
+
+    EXPECT_EQ(log, (std::vector<std::string>{
+                       "test.settle:a", "test.settle:b",
+                       "test.settle:a", "test.settle:b",
+                       "test.settle:b", "test.settle:b"}));
+    EXPECT_EQ(result.changes, 4u);
+    EXPECT_EQ(prog->function("a")->numIntRegs(), 2);
+    EXPECT_EQ(prog->function("b")->numIntRegs(), 4);
+    StatsSnapshot snap = stats.snapshot();
+    EXPECT_EQ(snap.counter("test.settle_group.iterations"), 4u);
+    EXPECT_EQ(snap.counter("test.settle.runs"), 4u);
+    EXPECT_EQ(snap.counter("test.settle.changed_runs"), 3u);
 }
 
 TEST(PassManager, CountersMatchHandComputedDCECase)

@@ -98,7 +98,7 @@ main(int argc, char **argv)
         return usage(std::cerr, 2);
     }
 
-    try {
+    return benchMain("predilp_sweep", [&] {
         WallTimer wall;
         std::ifstream in(specPath, std::ios::binary);
         if (!in) {
@@ -117,8 +117,5 @@ main(int argc, char **argv)
         printPhaseTiming(std::cout, outcome.timing, wall.seconds(),
                          outcome.threads);
         return 0;
-    } catch (const std::exception &e) {
-        std::cerr << "predilp_sweep: " << e.what() << "\n";
-        return 1;
-    }
+    });
 }
