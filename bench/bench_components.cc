@@ -14,6 +14,7 @@
 #include "ir/verifier.hh"
 #include "opt/passes.hh"
 #include "sim/cache.hh"
+#include "trace/replay.hh"
 #include "workloads/workloads.hh"
 
 using namespace predilp;
@@ -104,11 +105,14 @@ BM_TimingSimulator(benchmark::State &state)
     opts.machine = issue8Branch1();
     opts.profileInput = input;
     auto prog = compileForModel(wc().source, opts);
+    // Capture once outside the timed loop: this times the cycle
+    // model's replay of the trace, not the emulator.
+    auto trace = capture(*prog, input);
     SimConfig sim;
     sim.machine = opts.machine;
     std::uint64_t instrs = 0;
     for (auto _ : state) {
-        SimResult r = simulate(*prog, input, sim);
+        SimResult r = replay(*trace, sim);
         instrs += r.dynInstrs;
         benchmark::DoNotOptimize(r.cycles);
     }

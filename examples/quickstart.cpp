@@ -11,7 +11,8 @@
  * through the PredILP pipeline, shows the branchy code, if-converts
  * it into a hyperblock of predicated instructions (full predication),
  * lowers it to conditional-move form (partial predication), and runs
- * all three on the emulator to show they agree.
+ * all three on the emulator to show they agree. Exits 1 when they do
+ * not.
  */
 
 #include <iostream>
@@ -20,6 +21,7 @@
 #include "frontend/irgen.hh"
 #include "ir/printer.hh"
 #include "opt/passes.hh"
+#include "trace/replay.hh"
 
 using namespace predilp;
 
@@ -87,6 +89,7 @@ main()
     sim.machine = issue8Branch1();
 
     std::int64_t reference = 0;
+    bool agree = true;
     for (Model model :
          {Model::Superblock, Model::FullPred, Model::CondMove}) {
         CompileOptions opts;
@@ -97,7 +100,7 @@ main()
         auto prog = compileForModel(source, opts);
         show(modelName(model), *prog);
 
-        SimResult result = simulate(*prog, input, sim);
+        SimResult result = replay(*capture(*prog, input), sim);
         std::cout << modelName(model) << ": cycles=" << result.cycles
                   << " instrs=" << result.dynInstrs
                   << " branches=" << result.branches
@@ -105,9 +108,13 @@ main()
                   << " exit=" << result.exitValue << "\n\n";
         if (model == Model::Superblock)
             reference = result.exitValue;
-        else if (result.exitValue != reference)
+        else if (result.exitValue != reference) {
             std::cout << "!! models disagree\n";
+            agree = false;
+        }
     }
+    if (!agree)
+        return 1;
     std::cout << "All three models computed the same result.\n";
     return 0;
 }

@@ -11,6 +11,7 @@
 
 #include "driver/pipeline.hh"
 #include "ir/printer.hh"
+#include "trace/replay.hh"
 #include "workloads/workloads.hh"
 
 using namespace predilp;
@@ -76,7 +77,7 @@ main()
             std::cout << "\n";
         }
 
-        SimResult result = simulate(*prog, input, sim);
+        SimResult result = replay(*capture(*prog, input), sim);
         cycles[index] = result.cycles;
         instrs[index] = result.dynInstrs;
         std::cout << modelName(model) << ": cycles="

@@ -7,6 +7,7 @@
 #include "opt/passes.hh"
 #include "sched/scheduler.hh"
 #include "support/logging.hh"
+#include "trace/replay.hh"
 
 namespace predilp
 {
@@ -386,7 +387,8 @@ runModel(const std::string &source, const std::string &input,
 {
     std::unique_ptr<Program> prog =
         compileForModel(source, compileOpts);
-    return simulate(*prog, input, simConfig);
+    return replay(*capture(*prog, input, simConfig.maxDynInstrs),
+                  simConfig);
 }
 
 RunResult

@@ -202,7 +202,11 @@ std::unique_ptr<Program> compileForModel(const std::string &source,
                                          StatsRegistry *stats =
                                              nullptr);
 
-/** Compile + simulate in one step. */
+/**
+ * Compile, capture and replay in one step. The capture runs under
+ * simConfig.maxDynInstrs, so an over-long run throws
+ * EmuTrap{TrapKind::FuelExhausted}.
+ */
 SimResult runModel(const std::string &source,
                    const std::string &input,
                    const CompileOptions &compileOpts,

@@ -1,9 +1,9 @@
 /**
  * @file
  * Standalone differential-fuzzing driver. Runs the oracle over a
- * seed range in parallel and reports every failure with its
- * reproducer path. Exit status 0 = every seed agreed, 1 = at least
- * one divergence/verifier failure/trap, 2 = bad usage.
+ * seed range in parallel and reports every failure, in seed order,
+ * with its reproducer path. Exit status 0 = every seed agreed, 1 =
+ * at least one divergence/verifier failure/trap, 2 = bad usage.
  *
  * Usage:
  *   fuzz_main [--seeds N] [--start S] [--fuel N]
@@ -13,12 +13,9 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
-#include <mutex>
 #include <string>
-#include <vector>
 
 #include "fuzz/oracle.hh"
-#include "support/thread_pool.hh"
 
 using namespace predilp;
 
@@ -84,30 +81,23 @@ main(int argc, char **argv)
         }
     }
 
-    ThreadPool pool(static_cast<int>(threads));
-    std::mutex mutex;
-    std::vector<OracleFailure> failures;
     std::uint64_t configsRun = 0;
-
-    pool.parallelFor(seeds, [&](std::size_t i) {
-        OracleResult result = runDifferentialOracle(
-            start + static_cast<std::uint64_t>(i), opts);
-        std::lock_guard<std::mutex> lock(mutex);
+    std::uint64_t failures = 0;
+    for (const OracleResult &result : runDifferentialOracleSeeds(
+             start, seeds, opts, static_cast<int>(threads))) {
         configsRun += result.configsRun;
-        for (OracleFailure &failure : result.failures)
-            failures.push_back(std::move(failure));
-    });
-
-    for (const OracleFailure &failure : failures) {
-        std::cerr << "FAIL seed=" << failure.seed << " config="
-                  << failure.config << " kind=" << failure.kind
-                  << "\n  " << failure.message << "\n";
-        if (!failure.reproducerPath.empty())
-            std::cerr << "  reproducer: " << failure.reproducerPath
-                      << "\n";
+        for (const OracleFailure &failure : result.failures) {
+            std::cerr << "FAIL seed=" << failure.seed << " config="
+                      << failure.config << " kind=" << failure.kind
+                      << "\n  " << failure.message << "\n";
+            if (!failure.reproducerPath.empty())
+                std::cerr << "  reproducer: "
+                          << failure.reproducerPath << "\n";
+            failures += 1;
+        }
     }
     std::cout << "fuzz: " << seeds << " seeds, " << configsRun
-              << " configs compared, " << failures.size()
+              << " configs compared, " << failures
               << " failure(s)\n";
-    return failures.empty() ? 0 : 1;
+    return failures == 0 ? 0 : 1;
 }

@@ -6,6 +6,7 @@
 #include "driver/pipeline.hh"
 #include "driver/reproducer.hh"
 #include "support/diag.hh"
+#include "support/thread_pool.hh"
 #include "trace/replay.hh"
 
 namespace predilp
@@ -196,6 +197,18 @@ runDifferentialOracle(std::uint64_t seed, const OracleOptions &opts)
         }
     }
     return result;
+}
+
+std::vector<OracleResult>
+runDifferentialOracleSeeds(std::uint64_t start, std::uint64_t count,
+                           const OracleOptions &opts, int threads)
+{
+    std::vector<OracleResult> results(count);
+    ThreadPool pool(threads);
+    pool.parallelFor(count, [&](std::size_t i) {
+        results[i] = runDifferentialOracle(start + i, opts);
+    });
+    return results;
 }
 
 } // namespace predilp

@@ -70,6 +70,16 @@ struct OracleResult
 OracleResult runDifferentialOracle(std::uint64_t seed,
                                    const OracleOptions &opts = {});
 
+/**
+ * Run the oracle over seeds [@p start, @p start + @p count) on a
+ * pool of @p threads workers (0 = auto, see resolveThreadCount).
+ * results[i] is seed start + i's result, whatever order the workers
+ * finish in.
+ */
+std::vector<OracleResult> runDifferentialOracleSeeds(
+    std::uint64_t start, std::uint64_t count,
+    const OracleOptions &opts = {}, int threads = 0);
+
 } // namespace predilp
 
 #endif // PREDILP_FUZZ_ORACLE_HH

@@ -3,7 +3,7 @@
  * Dense register-ready scoreboard for the cycle model. Replaces the
  * per-record std::unordered_map<Reg, long> lookup with flat
  * ready-cycle vectors indexed by (register class, register number),
- * sized once from the StaticIndex's per-class register bounds.
+ * sized once from the trace's per-class register bounds.
  *
  * An epoch/generation trick makes drain() — which the map version
  * implemented by clearing the whole table at every call/return —
@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "ir/reg.hh"
-#include "trace/trace.hh"
 
 namespace predilp
 {
@@ -35,18 +34,9 @@ namespace predilp
 class RegScoreboard
 {
   public:
-    /** Size every class's table from @p index's register bounds. */
-    explicit RegScoreboard(const StaticIndex &index)
-        : RegScoreboard(std::array<int, 3>{
-              index.regBound(RegClass::Int),
-              index.regBound(RegClass::Float),
-              index.regBound(RegClass::Pred)})
-    {}
-
     /**
-     * Size every class's table from explicit per-class bounds (Int,
-     * Float, Pred order) — the batched-replay path, where bounds
-     * travel with the shared ReplayTable instead of the index.
+     * Size every class's table from per-class register bounds (Int,
+     * Float, Pred order), as the shared ReplayTable carries them.
      */
     explicit RegScoreboard(const std::array<int, 3> &regBounds)
     {

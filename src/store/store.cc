@@ -316,6 +316,13 @@ parseArtifact(const std::uint8_t *data, std::size_t size)
         reinterpret_cast<const TraceEntry *>(data + entriesOffset);
     const std::uint8_t *mem = data + entriesOffset +
                               totalEntries * sizeof(TraceEntry);
+    // Replay indexes its row table by entry id with no per-record
+    // bounds check, so every id must name an op of this artifact.
+    for (std::uint64_t i = 0; i < totalEntries; ++i) {
+        if (entries[i].staticId() >= opsCount)
+            throw TraceCorruptError(
+                "artifact entry names a static id past its ops");
+    }
     parsed.views.reserve(chunkCount);
     for (const ChunkMeta &meta : chunkMeta) {
         TraceBuffer::ChunkView view;

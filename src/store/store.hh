@@ -22,10 +22,12 @@
  * published by one primitive: stage to a temp file, fsync, then an
  * atomic rename under an advisory flock. Readers validate magic,
  * version, declared length, and a 64-bit FNV-1a payload checksum
- * before trusting a single byte, and bound every section against the
- * file size. Any mismatch quarantines the file (read-write mode) and
- * reports a miss, so the caller transparently recomputes and
- * re-saves — corrupt artifacts are repaired, never trusted.
+ * before trusting a single byte, bound every section against the
+ * file size, and check every entry's static id against the ops
+ * table (replay indexes rows by it unchecked). Any mismatch
+ * quarantines the file (read-write mode) and reports a miss, so the
+ * caller transparently recomputes and re-saves — corrupt artifacts
+ * are repaired, never trusted.
  *
  * Provenance lives in one place: the certified result records
  * (saveResult / loadResult), sealed JSON under `results/`, one per

@@ -116,7 +116,7 @@ struct StaticOp
 
 /**
  * Dense interner of (function, instruction) pairs. Mutable only
- * while a capture (or inline simulation) is producing records;
+ * while a capture is producing records;
  * read-only — and therefore safely shareable across threads — once
  * the trace is complete.
  */
@@ -599,49 +599,6 @@ class TraceBuffer
         TraceEntry *base_ = nullptr;
         std::int64_t lastMemAddr_ = 0;
         std::uint32_t memCount_ = 0;
-    };
-
-    /** Forward iterator over the two streams, record at a time. */
-    class Cursor
-    {
-      public:
-        explicit Cursor(const TraceBuffer &buffer) : buffer_(buffer)
-        {}
-
-        /**
-         * Fetch the next record. @p memAddr is set only when the
-         * entry's traceHasMemAddr flag is set.
-         * @return false at end of trace.
-         */
-        bool
-        next(TraceEntry &entry, std::int64_t &memAddr)
-        {
-            if (chunk_ >= buffer_.chunkCount())
-                return false;
-            const ChunkView view = buffer_.chunk(chunk_);
-            entry = view.entries[offset_];
-            if ((entry.flags() & traceHasMemAddr) != 0) {
-                const std::uint8_t *p = view.memBytes + memOffset_;
-                prevAddr_ += zigzagDecode(
-                    decodeVarint(p, view.memBytes + view.memSize));
-                memOffset_ =
-                    static_cast<std::size_t>(p - view.memBytes);
-                memAddr = prevAddr_;
-            }
-            if (++offset_ == view.entryCount) {
-                chunk_ += 1;
-                offset_ = 0;
-                memOffset_ = 0;
-            }
-            return true;
-        }
-
-      private:
-        const TraceBuffer &buffer_;
-        std::size_t chunk_ = 0;
-        std::size_t offset_ = 0;
-        std::size_t memOffset_ = 0;
-        std::int64_t prevAddr_ = 0;
     };
 
     /**

@@ -3,7 +3,8 @@
  * The acceptance gate for the differential fuzzer: 500 fixed seeds,
  * each compiled under all three models plus two seed-rotated
  * ablation flips with the post-pass verifier on, must produce zero
- * divergences, verifier failures, or traps. Any failure prints its
+ * divergences, verifier failures, or traps. The seeds run on the
+ * oracle's thread pool; failures print in seed order, each with its
  * full oracle record so the seed is reproducible offline via
  * `build/src/fuzz/fuzz_main --start <seed> --seeds 1`.
  */
@@ -24,8 +25,8 @@ TEST(FuzzDifferential, FiveHundredSeedsAgreeAcrossAllModels)
     OracleOptions opts; // ablations + per-pass verification on.
     std::uint64_t configs = 0;
     std::vector<OracleFailure> failures;
-    for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
-        OracleResult result = runDifferentialOracle(seed, opts);
+    for (const OracleResult &result :
+         runDifferentialOracleSeeds(0, kSeeds, opts)) {
         configs += result.configsRun;
         failures.insert(failures.end(), result.failures.begin(),
                         result.failures.end());

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <limits>
 
@@ -249,9 +250,7 @@ TEST(Timing, FullPredNullifiedConsumeSlots)
 
 TEST(Scoreboard, EpochWraparoundHardResetsStaleTags)
 {
-    // A read-only index is enough to size the boards.
-    StaticIndex index({}, {}, {16, 0, 16});
-    RegScoreboard board(index);
+    RegScoreboard board(std::array<int, 3>{16, 0, 16});
     board.setDest(intReg(3), 42);
     EXPECT_EQ(board.readyAt(intReg(3)), 42);
 

@@ -4,7 +4,8 @@
  * trips that replay bit-identically out of the mmap'd file,
  * byte-level corruption injection in every file region (magic,
  * header, entry stream, varint stream, checksum) with quarantine +
- * recompute repair, read-only mode, and the SuiteEvaluator's
+ * recompute repair, load-time rejection of entry ids past the ops
+ * table, read-only mode, and the SuiteEvaluator's
  * cold/warm second-tier behaviour: a warm evaluator performs zero
  * compiles and zero emulations yet reproduces the cold results
  * exactly.
@@ -96,7 +97,8 @@ expectSimEq(const SimResult &a, const SimResult &b)
 
 /** One captured workload trace for the round-trip tests. */
 std::unique_ptr<TraceBuffer>
-captureWorkload(const char *name)
+captureWorkload(const char *name,
+                EmuBackend backend = defaultEmuBackend())
 {
     const Workload *workload = findWorkload(name);
     EXPECT_NE(workload, nullptr);
@@ -106,7 +108,7 @@ captureWorkload(const char *name)
     opts.machine = issue8Branch1();
     opts.profileInput = input;
     auto prog = compileForModel(workload->source, opts);
-    return capture(*prog, input);
+    return capture(*prog, input, 2'000'000'000ull, backend);
 }
 
 TEST(Sha256, MatchesKnownVectors)
@@ -256,6 +258,26 @@ TEST(ArtifactStore, CorruptionInEveryRegionIsDetectedAndRepaired)
     fs::resize_file(path, info->fileBytes / 2);
     EXPECT_EQ(store.load(key), nullptr);
     EXPECT_EQ(store.repairs(), 1u);
+}
+
+TEST(ArtifactStore, EntryIdPastItsIndexIsRejectedAtLoad)
+{
+    // An interpreter capture appends record by record, so one more
+    // append() is within the buffer's protocol. Checksum and framing
+    // stay valid: only the id is out of range.
+    auto buffer = captureWorkload("cmp", EmuBackend::Interp);
+    buffer->append(buffer->index().size(), 0, 0);
+
+    ArtifactStore store(freshDir("store-id-range"),
+                        StoreMode::ReadWrite);
+    const std::string key = ArtifactStore::keyFor("cmp-src", "cell");
+    ASSERT_TRUE(store.save(key, *buffer));
+    // predilp_diff --verify reads artifacts through the same parse.
+    EXPECT_FALSE(inspectArtifact(store.objectPath(key)).has_value());
+    EXPECT_EQ(store.load(key), nullptr);
+    EXPECT_EQ(store.misses(), 1u);
+    EXPECT_EQ(store.repairs(), 1u);
+    EXPECT_EQ(store.hits(), 0u);
 }
 
 TEST(ArtifactStore, ReadOnlyModeNeverWritesOrQuarantines)

@@ -1,17 +1,22 @@
 /**
  * @file
- * Trace capture/replay tests: replay(capture(prog)) must be
- * bit-for-bit identical to the fused simulate() path — cycles, every
- * headline counter, and the full sim.* stats snapshot — for every
- * model, replaying one buffer twice must agree, one buffer must be
- * replayable under many SimConfigs, and the chunked storage must
- * survive chunk-boundary rollover in both streams. The packed
- * 4-byte entry format and the zigzag-varint memory side stream get
- * direct edge-case coverage: negative deltas, >32-bit addresses,
- * and static ids beyond the 29-bit packing limit.
+ * Trace capture/replay tests. capture()'s buffer, walked with a
+ * ChunkCursor, must yield exactly the interpreter's DynRecord stream
+ * — interned in order into a fresh StaticIndex — as (id, flags,
+ * memAddr) triples under both emulator backends, for every model.
+ * Replaying one buffer twice must agree, and a buffer must replay
+ * after its program is gone. The chunked storage must survive
+ * chunk-boundary rollover in both streams. The packed 4-byte entry
+ * format and the zigzag-varint memory side stream get direct
+ * edge-case coverage: negative deltas, >32-bit addresses, and static
+ * ids beyond the 29-bit packing limit.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <ostream>
+#include <vector>
 
 #include "driver/pipeline.hh"
 #include "sim/timing.hh"
@@ -55,46 +60,115 @@ compiledWorkload(const Workload &workload, Model model,
     return compileForModel(workload.source, opts);
 }
 
-TEST(Replay, MatchesInlineSimulateEveryModel)
+/** One dynamic record as the cycle model sees it. */
+struct Rec
 {
-    for (const char *name : {"cmp", "wc"}) {
-        const Workload *workload = findWorkload(name);
-        ASSERT_NE(workload, nullptr);
-        std::string input = workload->makeInput(1);
-        for (Model model : {Model::Superblock, Model::CondMove,
-                            Model::FullPred}) {
-            auto prog = compiledWorkload(*workload, model, input);
-            SimConfig sim;
-            sim.machine = issue8Branch1();
-            SimResult inlined = simulate(*prog, input, sim);
-            auto buffer = capture(*prog, input);
-            SimResult replayed = replay(*buffer, sim);
-            SCOPED_TRACE(workload->name + "/" + modelName(model));
-            expectSimEq(inlined, replayed);
+    std::uint32_t id = 0;
+    std::uint32_t flags = 0;
+    std::int64_t memAddr = 0; ///< 0 unless traceHasMemAddr.
+
+    bool operator==(const Rec &) const = default;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const Rec &rec)
+{
+    return os << "{id " << rec.id << ", flags " << rec.flags
+              << ", addr " << rec.memAddr << "}";
+}
+
+/** Every record of @p buffer, in order, through a ChunkCursor. */
+std::vector<Rec>
+walk(const TraceBuffer &buffer)
+{
+    std::vector<Rec> out;
+    TraceBuffer::ChunkCursor cursor(buffer);
+    const TraceEntry *entries = nullptr;
+    std::size_t count = 0;
+    const std::int64_t *addrs = nullptr;
+    while (cursor.next(entries, count, addrs)) {
+        for (std::size_t i = 0; i < count; ++i) {
+            Rec rec{entries[i].staticId(), entries[i].flags(), 0};
+            if ((rec.flags & traceHasMemAddr) != 0)
+                rec.memAddr = *addrs++;
+            out.push_back(rec);
         }
+    }
+    return out;
+}
+
+/** @p got must equal @p want; report the first record that differs. */
+void
+expectSameStream(const std::vector<Rec> &got,
+                 const std::vector<Rec> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    auto [g, w] = std::mismatch(got.begin(), got.end(), want.begin());
+    if (g != got.end()) {
+        ADD_FAILURE() << "record " << (g - got.begin()) << ": got "
+                      << *g << ", want " << *w;
     }
 }
 
-TEST(Replay, MatchesInlineSimulateRealCachesEveryModel)
+/**
+ * The reference stream: the interpreter's DynRecords, interned in
+ * execution order into a fresh StaticIndex.
+ */
+class StreamRecorder : public TraceSink
 {
-    // Real caches exercise the varint address stream on the pricing
-    // path (the d-cache sees every decoded address), so the packed
-    // side stream must reproduce each address exactly.
-    for (const char *name : {"cmp", "wc"}) {
+  public:
+    explicit StreamRecorder(const Program &prog) : index(prog) {}
+
+    void
+    onInstr(const DynRecord &record) override
+    {
+        records.push_back(
+            {index.intern(record.fn, record.instr),
+             traceFlagsOf(record),
+             record.hasMemAddr ? record.memAddr : 0});
+    }
+
+    StaticIndex index;
+    std::vector<Rec> records;
+};
+
+TEST(Capture, ChunkStreamMatchesInterpreterRecordsEveryModel)
+{
+    for (const char *name : {"cmp", "wc", "qsort"}) {
         const Workload *workload = findWorkload(name);
         ASSERT_NE(workload, nullptr);
         std::string input = workload->makeInput(1);
         for (Model model : {Model::Superblock, Model::CondMove,
                             Model::FullPred}) {
             auto prog = compiledWorkload(*workload, model, input);
-            SimConfig sim;
-            sim.machine = issue8Branch1();
-            sim.perfectCaches = false;
-            SimResult inlined = simulate(*prog, input, sim);
-            auto buffer = capture(*prog, input);
-            SimResult replayed = replay(*buffer, sim);
-            SCOPED_TRACE(workload->name + "/" + modelName(model));
-            expectSimEq(inlined, replayed);
+            StreamRecorder recorder(*prog);
+            EmuOptions opts;
+            opts.sink = &recorder;
+            opts.backend = EmuBackend::Interp;
+            RunResult run = Emulator(*prog).run(input, opts);
+            ASSERT_FALSE(recorder.records.empty());
+
+            for (EmuBackend backend :
+                 {EmuBackend::Interp, EmuBackend::Threaded}) {
+                SCOPED_TRACE(workload->name + "/" + modelName(model) +
+                             "/" + emuBackendName(backend));
+                auto buffer =
+                    capture(*prog, input, 2'000'000'000ull, backend);
+                expectSameStream(walk(*buffer), recorder.records);
+                EXPECT_EQ(buffer->run().exitValue, run.exitValue);
+                EXPECT_EQ(buffer->run().output, run.output);
+
+                // Same ids must name the same static instructions.
+                const StaticIndex &got = buffer->index();
+                ASSERT_EQ(got.size(), recorder.index.size());
+                for (std::uint32_t id = 0; id < got.size(); ++id) {
+                    const StaticOp &x = got.op(id);
+                    const StaticOp &y = recorder.index.op(id);
+                    EXPECT_EQ(x.addr, y.addr) << "id " << id;
+                    EXPECT_EQ(x.op, y.op) << "id " << id;
+                    EXPECT_EQ(x.kind, y.kind) << "id " << id;
+                }
+            }
         }
     }
 }
@@ -112,34 +186,6 @@ TEST(Replay, SameBufferTwiceAgrees)
     expectSimEq(replay(*buffer, sim), replay(*buffer, sim));
 }
 
-TEST(Replay, OneBufferManyConfigs)
-{
-    const Workload *workload = findWorkload("cmp");
-    ASSERT_NE(workload, nullptr);
-    std::string input = workload->makeInput(1);
-    auto prog =
-        compiledWorkload(*workload, Model::FullPred, input);
-    auto buffer = capture(*prog, input);
-
-    // The trace stream never depends on the SimConfig: replaying the
-    // one buffer must match a fresh fused simulation per config.
-    SimConfig real;
-    real.machine = issue8Branch1();
-    real.perfectCaches = false;
-    expectSimEq(replay(*buffer, real), simulate(*prog, input, real));
-
-    SimConfig narrow;
-    narrow.machine = issue1();
-    expectSimEq(replay(*buffer, narrow),
-                simulate(*prog, input, narrow));
-
-    SimConfig smallBtb;
-    smallBtb.machine = issue8Branch2();
-    smallBtb.btbEntries = 16;
-    expectSimEq(replay(*buffer, smallBtb),
-                simulate(*prog, input, smallBtb));
-}
-
 TEST(Replay, BufferIsSelfContained)
 {
     const Workload *workload = findWorkload("cmp");
@@ -149,10 +195,11 @@ TEST(Replay, BufferIsSelfContained)
         compiledWorkload(*workload, Model::Superblock, input);
     SimConfig sim;
     sim.machine = issue8Branch1();
-    SimResult inlined = simulate(*prog, input, sim);
+    sim.perfectCaches = false;
     auto buffer = capture(*prog, input);
+    SimResult before = replay(*buffer, sim);
     prog.reset(); // replay must not touch the IR.
-    expectSimEq(inlined, replay(*buffer, sim));
+    expectSimEq(before, replay(*buffer, sim));
 }
 
 TEST(TraceEntryPacking, RoundTripsIdAndFlags)
@@ -257,89 +304,74 @@ TEST(TraceBuffer, MemStreamHandlesNegativeAndWideDeltas)
         16,                          // huge negative delta.
         16,                          // zero delta.
     };
-    for (std::int64_t addr : addrs)
-        buffer.append(7, traceHasMemAddr, addr);
-
-    TraceBuffer::Cursor cursor(buffer);
-    TraceEntry entry;
-    std::int64_t memAddr = 0;
+    std::vector<Rec> appended;
     for (std::int64_t addr : addrs) {
-        ASSERT_TRUE(cursor.next(entry, memAddr));
-        EXPECT_EQ(entry.staticId(), 7u);
-        EXPECT_EQ(memAddr, addr);
+        buffer.append(7, traceHasMemAddr, addr);
+        appended.push_back({7, traceHasMemAddr, addr});
     }
-    EXPECT_FALSE(cursor.next(entry, memAddr));
+    expectSameStream(walk(buffer), appended);
 }
 
-TEST(TraceBuffer, CursorSurvivesChunkRollover)
+TEST(TraceBuffer, ChunkCursorSurvivesChunkRollover)
 {
     Program prog;
     TraceBuffer buffer(prog);
     // Enough records to roll both streams over several chunks; every
     // third record carries a memory address.
     const std::uint64_t n = 3 * TraceBuffer::chunkEntries + 17;
+    std::vector<Rec> appended;
     for (std::uint64_t i = 0; i < n; ++i) {
-        std::uint32_t flags =
-            (i % 3 == 0) ? traceHasMemAddr : traceTaken;
-        buffer.append(static_cast<std::uint32_t>(i % 977), flags,
+        Rec rec{static_cast<std::uint32_t>(i % 977),
+                (i % 3 == 0) ? traceHasMemAddr : traceTaken, 0};
+        if (i % 3 == 0)
+            rec.memAddr = static_cast<std::int64_t>(i * 8);
+        buffer.append(rec.id, rec.flags,
                       static_cast<std::int64_t>(i * 8));
+        appended.push_back(rec);
     }
     EXPECT_EQ(buffer.size(), n);
-
-    TraceBuffer::Cursor cursor(buffer);
-    TraceEntry entry;
-    std::int64_t memAddr = 0;
-    for (std::uint64_t i = 0; i < n; ++i) {
-        ASSERT_TRUE(cursor.next(entry, memAddr));
-        EXPECT_EQ(entry.staticId(), i % 977);
-        if (i % 3 == 0) {
-            EXPECT_EQ(entry.flags(), traceHasMemAddr);
-            EXPECT_EQ(memAddr, static_cast<std::int64_t>(i * 8));
-        } else {
-            EXPECT_EQ(entry.flags(), traceTaken);
-        }
-    }
-    EXPECT_FALSE(cursor.next(entry, memAddr));
+    EXPECT_EQ(buffer.chunkCount(), 4u);
+    EXPECT_EQ(buffer.chunk(3).entryCount, 17u);
+    expectSameStream(walk(buffer), appended);
 }
 
-TEST(TraceBuffer, ChunkCursorMatchesRecordCursor)
+TEST(TraceBuffer, ChunkCursorMatchesAppendedSequence)
 {
     Program prog;
     TraceBuffer buffer(prog);
     const std::uint64_t n = 2 * TraceBuffer::chunkEntries + 311;
+    std::vector<Rec> appended;
     for (std::uint64_t i = 0; i < n; ++i) {
-        std::uint32_t flags = (i % 5 == 0) ? traceHasMemAddr : 0;
+        Rec rec{static_cast<std::uint32_t>(i % 131),
+                (i % 5 == 0) ? traceHasMemAddr : 0u, 0};
         // Alternate small and large strides so deltas change sign
         // and width across chunk boundaries.
         std::int64_t addr = (i % 2 == 0)
                                 ? static_cast<std::int64_t>(i * 8)
                                 : (std::int64_t{1} << 36) -
                                       static_cast<std::int64_t>(i);
-        buffer.append(static_cast<std::uint32_t>(i % 131), flags,
-                      addr);
+        if (rec.flags != 0)
+            rec.memAddr = addr;
+        buffer.append(rec.id, rec.flags, addr);
+        appended.push_back(rec);
     }
+    expectSameStream(walk(buffer), appended);
 
-    TraceBuffer::Cursor record(buffer);
-    TraceBuffer::ChunkCursor chunks(buffer);
+    // Without address decode the entry spans are the same and no
+    // address run is handed out.
+    TraceBuffer::ChunkCursor entriesOnly(buffer, false);
     const TraceEntry *entries = nullptr;
     std::size_t count = 0;
     const std::int64_t *addrs = nullptr;
     std::uint64_t seen = 0;
-    while (chunks.next(entries, count, addrs)) {
+    while (entriesOnly.next(entries, count, addrs)) {
+        EXPECT_EQ(addrs, nullptr);
         for (std::size_t i = 0; i < count; ++i, ++seen) {
-            TraceEntry expected;
-            std::int64_t expectedAddr = 0;
-            ASSERT_TRUE(record.next(expected, expectedAddr));
-            EXPECT_EQ(entries[i].packed, expected.packed);
-            if ((entries[i].flags() & traceHasMemAddr) != 0) {
-                EXPECT_EQ(*addrs++, expectedAddr);
-            }
+            EXPECT_EQ(entries[i].staticId(), appended[seen].id);
+            EXPECT_EQ(entries[i].flags(), appended[seen].flags);
         }
     }
     EXPECT_EQ(seen, n);
-    TraceEntry tail;
-    std::int64_t tailAddr = 0;
-    EXPECT_FALSE(record.next(tail, tailAddr));
 }
 
 TEST(TraceBuffer, PackedFormatShrinksFootprint)
